@@ -3,10 +3,11 @@
 
 Runs one fixed, telemetry-enabled workload under two configurations --
 
-- **legacy**: the pre-incremental hot path (a full pickle checkpoint
-  before every event, no dedup, one datagram per RPC frame);
-- **current**: the shipped defaults (delta-chain checkpoints with
-  hash dedup, per-tick batched RPC);
+- **current**: the shipped defaults (per-event checkpoints whose
+  images share unchanged buffers, deferred encoding, per-tick batched
+  RPC);
+- **interval8**: the same with a checkpoint every 8 events and
+  journal-tail replay;
 
 -- then summarises the hot-path spans (``appvisor.event`` and its
 segments: dispatch, RPC, checkpoint, NetLog commit) for each and
@@ -33,7 +34,6 @@ from repro.apps import FlowMonitor, Hub
 from repro.network.net import Network
 from repro.network.topology import linear_topology
 from repro.core.runtime import LegoSDNRuntime
-from repro.openflow.serialization import wire_codec
 from repro.telemetry import Telemetry, trace_dict
 from repro.telemetry.spandiff import (
     HOT_PATH_SPANS,
@@ -46,19 +46,6 @@ from repro.workloads.traffic import inject_marker_packet
 
 PROBES = 30
 
-#: The pre-PR hot path, expressed in today's knobs.  ``wire_codec`` is
-#: a pseudo-knob: it flips the module-global serialization format (the
-#: named/self-describing pre-schema-interning encoding) for the whole
-#: capture rather than configuring the runtime.
-LEGACY_CONFIG = {
-    "checkpoint_full_every": 1,
-    "checkpoint_dedup": False,
-    "channel_batch": False,
-    "checkpoint_codec": "pickle",
-    "checkpoint_dirty_tracking": False,
-    "checkpoint_deferred": False,
-    "wire_codec": "named",
-}
 CURRENT_CONFIG: dict = {}
 #: The interval configuration the acceptance gate measures: fuzzy
 #: checkpoints every 8 events with tail replay, on top of the shipped
@@ -75,14 +62,6 @@ def capture_config(runtime_kwargs: dict, seed: int = 0,
     -- ``shards=1`` is the CI re-verification that the sharding layer
     adds no hot-path overhead when it is not dividing anything.
     """
-    runtime_kwargs = dict(runtime_kwargs)
-    codec = runtime_kwargs.pop("wire_codec", "packed")
-    with wire_codec(codec):
-        return _capture_config(runtime_kwargs, seed=seed, shards=shards)
-
-
-def _capture_config(runtime_kwargs: dict, seed: int = 0,
-                    shards: int | None = None) -> dict:
     if shards is not None:
         from repro.shard import ShardCoordinator
 
@@ -120,24 +99,19 @@ def _capture_config(runtime_kwargs: dict, seed: int = 0,
 
 
 def cmd_capture(args) -> int:
-    legacy = capture_config(dict(LEGACY_CONFIG), seed=args.seed)
     current = capture_config(dict(CURRENT_CONFIG), seed=args.seed)
     interval8 = capture_config(dict(INTERVAL8_CONFIG), seed=args.seed)
-    diff = diff_summaries(legacy, current)
+    diff = diff_summaries(current, interval8)
     print(f"span-diff capture: {PROBES} probes, linear(2,1), "
-          "legacy vs current hot path\n")
-    print(render_diff(diff, base_label="legacy", cand_label="current"))
-    print()
-    print(render_diff(diff_summaries(current, interval8),
-                      base_label="current", cand_label="interval8"))
+          "current vs interval8 hot path\n")
+    print(render_diff(diff, base_label="current", cand_label="interval8"))
     document = {
         "harness": "benchmarks/span_diff.py",
         "workload": {"topology": "linear(2,1)", "probes": PROBES,
                      "apps": ["hub", "monitor"], "seed": args.seed},
-        "configs": {"legacy": LEGACY_CONFIG, "current": CURRENT_CONFIG,
+        "configs": {"current": CURRENT_CONFIG,
                     "interval8": INTERVAL8_CONFIG},
-        "summaries": {"legacy": legacy, "current": current,
-                      "interval8": interval8},
+        "summaries": {"current": current, "interval8": interval8},
         "diff": diff,
     }
     if args.out:
@@ -167,7 +141,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
     p_capture = sub.add_parser("capture",
-                               help="capture legacy-vs-current summaries")
+                               help="capture current-vs-interval8 summaries")
     p_capture.add_argument("--out", help="write the capture JSON here")
     p_capture.add_argument("--seed", type=int, default=0)
     p_capture.set_defaults(func=cmd_capture)

@@ -114,8 +114,8 @@ def test_e14_concurrency_lanes(benchmark):
     assert (by_n[8]["serial"] / by_n[8]["lanes"]
             > by_n[2]["serial"] / by_n[2]["lanes"])
     # Serial drain grows ~linearly with switches; lanes stay ~flat.
-    # The first event of a drain pays the chain-opening full
-    # checkpoint (a constant ~10 ms), so compare marginal growth
+    # The first event of a drain can pay a full image (a constant
+    # ~10 ms), so compare marginal growth
     # rather than the raw n=8/n=2 ratio.
     serial_growth = by_n[8]["serial"] - by_n[2]["serial"]
     lanes_growth = by_n[8]["lanes"] - by_n[2]["lanes"]

@@ -119,10 +119,9 @@ PRESETS: Dict[str, BenchScenario] = {
         ceiling_mb=1792.0),
 }
 
-#: Codec configurations the A/B comparison flips between: the wire
-#: codec (packed schema ids vs named fields) and the checkpoint value
-#: codec (schema vs pickle) move together -- "named" is the complete
-#: pre-PR serialization stack.
+#: Wire codecs the A/B comparison flips between: packed schema ids vs
+#: named fields (checkpoint images use the packed state-value codec
+#: under both).
 CODECS = ("packed", "named")
 
 
@@ -196,7 +195,7 @@ def _bytes_counters(telemetries) -> Tuple[int, int]:
 
 
 def _checkpoint_stats(coordinator) -> Dict[str, object]:
-    keys = ("taken", "full", "delta", "dedup_hits", "bytes_written",
+    keys = ("taken", "dedup_hits", "bytes_written",
             "value_encodes", "value_decodes", "encodes_skipped",
             "pending", "pending_dropped", "deferred_takes",
             "deferred_drains", "checkpoint_lag")
@@ -213,7 +212,6 @@ def _checkpoint_stats(coordinator) -> Dict[str, object]:
                 agg[k] += stats.get(k, 0)
             total_cost += stats.get("total_cost", 0.0)
             deferred_cost += stats.get("deferred_cost", 0.0)
-            agg["codec"] = stats.get("codec")
     agg["total_cost"] = round(total_cost, 9)
     agg["deferred_cost"] = round(deferred_cost, 9)
     return agg
@@ -246,8 +244,6 @@ def run_scenario(scenario: BenchScenario, codec: str = "packed",
     reset_packet_ids()
 
     runtime_kwargs = {"checkpoint_interval": scenario.checkpoint_interval}
-    if codec == "named":
-        runtime_kwargs["checkpoint_codec"] = "pickle"
 
     with wire_codec("packed" if codec == "packed" else "named"):
         topo = tree_topology(scenario.tree_depth, scenario.tree_fanout,

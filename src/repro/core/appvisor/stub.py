@@ -279,7 +279,7 @@ class AppVisorStub:
         seq = frame.seq
         self.checkpoints.note_seq(seq)
         checkpoint_cost = 0.0
-        checkpoint_kind = None
+        checkpointed = False
         if self._checkpoint_due(seq) and not self._pending_process:
             defer = self._defer_override
             if defer is not False and (
@@ -306,7 +306,7 @@ class AppVisorStub:
                 ))
                 return
             checkpoint_cost = self.checkpoints.cost_of(checkpoint)
-            checkpoint_kind = checkpoint.kind
+            checkpointed = True
             # A sync take or eviction may have flushed pending encodes
             # inside take(); that work is background-priced (it never
             # delays this event) but must still show up in the trace
@@ -321,10 +321,10 @@ class AppVisorStub:
         self.journal.record(seq, frame.event)
         self._pending_process.add(seq)
         # The checkpoint freeze delays processing -- this is the §4.1
-        # per-event overhead E7 measures (incremental checkpoints make
-        # most freezes delta- or hash-priced rather than full dumps).
+        # per-event overhead E7 measures (buffer sharing prices most
+        # freezes by the changed keys rather than as full dumps).
         self.sim.schedule(checkpoint_cost, self._process, seq, frame.event,
-                          self.sim.now, checkpoint_kind, frame.trace_id)
+                          self.sim.now, checkpointed, frame.trace_id)
 
     def _checkpoint_due(self, seq: int) -> bool:
         latest = self.checkpoints.latest()
@@ -336,17 +336,17 @@ class AppVisorStub:
         )
 
     def _process(self, seq: int, event, freeze_start: Optional[float] = None,
-                 checkpoint_kind: Optional[str] = None,
+                 checkpointed: bool = False,
                  trace_id: int = 0) -> None:
         self._pending_process.discard(seq)
-        if (checkpoint_kind is not None and self.telemetry is not None
+        if (checkpointed and self.telemetry is not None
                 and self.telemetry.enabled):
             # The checkpoint freeze that just ended, as a span: the
             # checkpoint segment of the event critical path.
             self.telemetry.tracer.record_span(
                 "appvisor.checkpoint", start=freeze_start,
                 trace_id=trace_id or None,
-                app=self.app.name, seq=seq, kind=checkpoint_kind,
+                app=self.app.name, seq=seq,
             )
         if not self.sandbox.alive:
             return

@@ -1,79 +1,46 @@
 """Checkpoint/restore of SDN-App state (CRIU substitute).
 
-The paper's prototype uses CRIU to checkpoint the whole app process
-(JVM) before dispatching every message (§4.1).  Our substitute encodes
-the app's state dict -- same semantics (a full, restorable image of
-the app's mutable state at a point in time) -- and charges a modelled
-cost in simulated time, proportional to image size, so the E7
-checkpoint-frequency experiment measures a real trade-off.
+The paper's prototype CRIU-checkpoints the whole app process before
+every message (§4.1).  Our substitute encodes the app's state dict --
+a restorable image of its mutable state -- and charges a modelled
+sim-time cost, so E7's checkpoint-frequency sweep measures a real
+trade-off.
 
-Checkpoints are **incremental** (the §5 direction: "rather than
-checkpointing after every event, we can checkpoint after every few
-events" -- we go further and make each checkpoint itself cheap):
+Every checkpoint is an immutable ``{key: encoded buffer}`` **image**.
+Consecutive images share the ``bytes`` objects of keys that did not
+change, so each entry is self-contained (restore decodes one map;
+eviction drops the oldest entry) while a take only pays for what
+changed -- §5's "minimizing checkpointing overheads":
 
-- every take hashes the state; when nothing changed since the last
-  checkpoint, a zero-byte **dedup** entry is recorded and only the
-  hash cost is charged;
-- a **full** image is written every ``full_every`` checkpoints, with
-  per-key state **deltas** in between (changed/added keys encoded
-  individually, removed keys listed), the CRIU ``--track-mem``
-  incremental-dump analogue;
-- restore materialises a delta entry by loading the chain's full image
-  and folding the deltas forward, so restore-equivalence with full
-  images holds for every chain prefix;
-- restore also *truncates*: entries newer than the restored checkpoint
-  describe a future the rollback abandoned, and are dropped so later
-  takes (dedup aliases, delta diffs) and :meth:`CheckpointStore.
-  latest_before` can never resurrect that timeline's state;
-- eviction past ``keep`` promotes the new oldest entry to a full image
-  first, so truncating a chain never strands its deltas.
+- apps that announce mutations (:meth:`~repro.apps.base.SDNApp.
+  mark_dirty`) expose a per-key version map: a key whose version has
+  not moved reuses the predecessor's buffer unencoded
+  (``encodes_skipped``), and a take whose whole version map is
+  unchanged shares the predecessor's image and writes nothing
+  (``dedup_hits``);
+- apps without version tracking encode every key and keep the
+  predecessor's buffer wherever the new encoding compares equal;
+- a non-dict state is a one-entry image under a private sentinel key.
 
-Two further layers move the take itself off the event critical path:
+Values are encoded once per take by :func:`~repro.openflow.
+serialization.encode_state_value` (packed codec, pickle fallback per
+value).  Restore *truncates*: entries newer than the restored one
+describe a future the rollback abandoned.
 
-**Dirty-key tracking** (``use_versions``, on by default): apps that
-opt into :meth:`~repro.apps.base.SDNApp.mark_dirty` expose a per-key
-version map; a key whose version has not moved since the previous take
-is *never re-encoded* -- its previous buffer is reused and
-``encodes_skipped`` counts the skip.  The modelled hash/verify cost
-then covers only the re-encoded (dirty) bytes plus a per-key version
-compare, instead of a full-state hash pass: checkpoint cost becomes
-O(dirty state), not O(app state).  A take whose entire version map is
-unchanged short-circuits to a dedup entry without touching a single
-value.  Apps without version tracking keep the conservative
-encode-everything path, bit-for-bit as before.
+**Deferred encoding** (``deferred``): with version tracking, ``take()``
+only *captures* (clean keys as markers, dirty keys as one-level
+shallow copies) a *pending* entry that :meth:`CheckpointStore.drain`
+-- the stub heartbeat -- encodes later, off the event path.  A crash
+drops pending entries (:meth:`CheckpointStore.drop_pending`) and
+recovery replays a longer NetLog tail; restore, failover promotion and
+eviction flush them first.  Captured values must be at most one level
+of mutable container whose elements are replaced, never mutated.
 
-**Deferred encoding** (``deferred``, off by default at the store,
-enabled by the runtime): with version tracking available, ``take()``
-only *captures* -- clean keys as references to the previous entry's
-buffers, dirty keys as one-level shallow copies -- and appends a
-*pending* entry whose encode happens later in :meth:`drain` (wired
-into the stub's heartbeat tick).  The event path pays only the capture
-cost; the encode/hash/write cost accrues to ``deferred_cost`` and a
-``crashpad.encode`` span instead of the ``appvisor.event`` span.
-Pending entries are not durable: a crash before the drain drops them
-(:meth:`drop_pending`) and recovery falls back to the previous durable
-image plus a longer NetLog tail replay; planned consumers (restore,
-failover promotion, eviction, materialisation) force a :meth:`flush`
-first.  The capture contract matches the bundled apps' state layout:
-values are at most one level of mutable container whose elements are
-immutable or replaced (never mutated) in place.
-
-Every state value is serialised **once** per take: the blake2b dedup
-hash, the delta diff, and the stored blob all read the same per-key
-encoded buffer (a full image stores the buffers themselves, keyed --
-the ``"keymap"`` layout -- rather than re-encoding the whole state).
-The buffers are produced by a pluggable value codec:
-
-- ``codec="pickle"`` (the default): ``pickle.dumps`` per value, the
-  original format, with the original CRIU-style cost model;
-- ``codec="schema"``: the packed wire codec from
-  :mod:`repro.openflow.serialization` (schema-interned field names,
-  varint ints; unrepresentable values fall back to pickle per value).
-  Because encoding is an in-process, per-key userspace pass -- not a
-  freeze-the-world incremental dump -- delta takes charge
-  ``encode_per_byte_cost`` over the *changed* bytes instead of the
-  fixed ``delta_base_cost`` freeze, which is what makes per-event
-  checkpointing cheap enough for the E19 load envelope.
+Cost model (sim seconds): a store's first image, a non-dict state and
+a restore cost ``base_cost + bytes * per_byte_cost`` (CRIU's freeze
+plus dump); a later image costs a per-key version compare (tracked
+apps), ``encode_per_byte_cost`` per encoded byte and ``per_byte_cost``
+per newly written byte.
 
 A checkpoint taken *before* event ``seq`` is keyed by ``before_seq``:
 it captures the state produced by events ``1 .. seq-1``.
@@ -81,58 +48,31 @@ it captures the state produced by events ``1 .. seq-1``.
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.openflow.serialization import (
     decode_state_value,
     encode_state_value,
 )
 
+#: Capture marker: this key's value is the predecessor's.
+_SAME = object()
+#: Image key under which a non-dict state is stored whole.
+_WHOLE = object()
+
 
 class CheckpointError(RuntimeError):
     """State could not be snapshotted or restored."""
 
 
-#: Checkpoint kinds: a self-contained image, a per-key diff against the
-#: previous entry, or a zero-byte alias for an unchanged state.
-FULL = "full"
-DELTA = "delta"
-DEDUP = "dedup"
-
-#: Blob layouts for FULL entries: a monolithic pickled state (non-dict
-#: fallback) or a pickled ``{key: encoded-value-buffer}`` map.
-STATE = "state"
-KEYMAP = "keymap"
-
-
-class _Same:
-    """Capture marker: this key's value is the previous entry's."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<same>"
-
-
-_SAME = _Same()
-
-
 def _shallow_copy(value):
-    """One-level copy of a captured state value.
-
-    Deep enough for the bundled apps' state contract (one level of
-    mutable container holding immutables / never-mutated values) and
-    cheap enough to sit on the event critical path.
-    """
-    if isinstance(value, dict):
-        return dict(value)
-    if isinstance(value, list):
-        return list(value)
-    if isinstance(value, set):
-        return set(value)
+    """One-level copy of a captured state value: deep enough for the
+    capture contract, cheap enough for the event critical path."""
+    for kind in (dict, list, set):
+        if isinstance(value, kind):
+            return kind(value)
     return value
 
 
@@ -140,79 +80,46 @@ def _shallow_copy(value):
 class Checkpoint:
     """One snapshot of an app's state.
 
-    ``blob`` holds the image for ``kind == "full"`` (layout ``"state"``:
-    the whole state pickled; layout ``"keymap"``: a pickled map of
-    per-key encoded buffers), the pickled ``(changed, removed)`` diff
-    for ``"delta"``, and is empty for ``"dedup"`` entries (the state
-    equals the previous entry's).
-
-    A **pending** entry has not been encoded yet: ``capture`` holds the
-    per-key markers (``_SAME`` or a shallow-copied value) and ``blob``
-    is empty until :meth:`CheckpointStore.drain` finalises it.  Pending
-    entries are not durable -- a crash drops them.
+    ``image`` maps each state key to its encoded buffer; buffers (and,
+    for an unchanged state, the whole map) are shared with the
+    predecessor, never mutated.  A **pending** entry holds only its
+    ``capture`` (``_SAME`` markers and shallow copies) until
+    :meth:`CheckpointStore.drain` encodes it; a crash drops it.
     """
 
     before_seq: int
     taken_at: float
-    blob: bytes
-    kind: str = FULL
-    #: blake2b digest of the state's per-key buffers (dedup identity).
-    state_hash: bytes = b""
-    #: Total size of the state's per-key buffers (the "image size" the
-    #: hash pass reads, and what a full dump of this state would cost).
+    image: Optional[Dict[object, bytes]] = field(default=None, repr=False)
+    #: Total size of the image's buffers (what a full dump would cost).
     state_size: int = 0
-    #: Modelled sim-time cost charged on the event path when this
-    #: checkpoint was taken (for deferred takes: the capture only).
+    #: Modelled sim-time cost charged on the event path (for deferred
+    #: takes: the capture only; the encode is background work).
     cost: float = 0.0
-    #: Blob layout for FULL entries (STATE or KEYMAP).
-    layout: str = STATE
-    #: True until a deferred take's encode has been drained.
-    pending: bool = False
-    #: Deferred capture: key -> ``_SAME`` | shallow-copied value.
     capture: Optional[dict] = field(default=None, repr=False)
-    #: Modelled background cost of the deferred encode (0 for
-    #: synchronous takes, where everything is in ``cost``).
-    encode_cost: float = 0.0
 
     @property
-    def size(self) -> int:
-        """Bytes this checkpoint retains on disk (0 for dedup)."""
-        return len(self.blob)
+    def pending(self) -> bool:
+        """True until the entry is encoded (it has no image yet)."""
+        return self.image is None
 
 
 class CheckpointStore:
     """Holds recent checkpoints for one app, with a cost model.
 
-    ``base_cost`` models CRIU's fixed freeze/dump overhead for a full
-    image and ``per_byte_cost`` the image-size-proportional part;
-    ``delta_base_cost`` is the (much smaller) freeze overhead of an
-    incremental dump, and ``hash_per_byte_cost`` what the dedup hash
-    pass charges per state byte.  With ``codec="schema"`` deltas are
-    charged ``encode_per_byte_cost`` over the changed bytes instead of
-    ``delta_base_cost`` (userspace incremental encode, no freeze).
-    With version tracking the hash pass covers only the re-encoded
-    bytes plus ``version_check_per_key_cost`` per key.  Deferred takes
-    charge ``capture_base_cost`` + ``capture_per_key_cost`` per dirty
-    key on the event path and everything else in the background drain.
-    All costs are in simulated seconds.  ``keep`` bounds retention
-    (rollbacks only ever reach back a bounded number of events -- §5
-    discusses reading "a history of snapshots"); ``full_every`` caps
-    delta-chain length so restores stay cheap.
-
-    ``metrics`` (optional :class:`~repro.metrics.collector.
-    MetricsCollector`) mirrors take/skip/byte counters into the
-    Prometheus exposition.
+    ``base_cost`` models CRIU's fixed freeze/dump overhead and
+    ``per_byte_cost`` the per-byte write; ``encode_per_byte_cost`` is
+    the userspace encode and ``version_check_per_key_cost`` the per-key
+    version compare.  Deferred takes charge ``capture_base_cost`` +
+    ``capture_per_key_cost`` per dirty key on the event path.  All
+    costs are in simulated seconds.  ``keep`` bounds retention (§5's
+    "a history of snapshots").  ``metrics`` (optional
+    :class:`~repro.metrics.collector.MetricsCollector`) mirrors
+    take/byte counters into the Prometheus exposition.
     """
 
     def __init__(self, keep: int = 16, base_cost: float = 0.010,
                  per_byte_cost: float = 1e-7,
-                 full_every: int = 8,
-                 delta_base_cost: float = 0.002,
-                 hash_per_byte_cost: float = 2e-9,
-                 dedup: bool = True,
-                 codec: str = "pickle",
                  encode_per_byte_cost: float = 5e-9,
-                 use_versions: bool = True,
                  deferred: bool = False,
                  capture_base_cost: float = 2e-5,
                  capture_per_key_cost: float = 1e-6,
@@ -220,23 +127,10 @@ class CheckpointStore:
                  metrics=None):
         if keep < 1:
             raise ValueError("keep must be >= 1")
-        if full_every < 1:
-            raise ValueError("full_every must be >= 1")
-        if codec not in ("pickle", "schema"):
-            raise ValueError(f"unknown checkpoint codec: {codec!r}")
         self.keep = keep
         self.base_cost = base_cost
         self.per_byte_cost = per_byte_cost
-        self.full_every = full_every
-        self.delta_base_cost = delta_base_cost
-        self.hash_per_byte_cost = hash_per_byte_cost
-        self.dedup = dedup
-        self.codec = codec
         self.encode_per_byte_cost = encode_per_byte_cost
-        #: Consult the app's per-key version map (when it has one) to
-        #: skip encoding unchanged keys.  Off = the conservative
-        #: pre-dirty-tracking behaviour, every key re-encoded per take.
-        self.use_versions = use_versions
         #: Defer encoding to :meth:`drain` (needs version tracking on
         #: the app; falls back to synchronous takes without it).
         self.deferred = deferred
@@ -245,114 +139,70 @@ class CheckpointStore:
         self.version_check_per_key_cost = version_check_per_key_cost
         self.metrics = metrics
         self._checkpoints: List[Checkpoint] = []
-        #: Pending (not yet encoded) entries, FIFO -- always a suffix
-        #: of ``_checkpoints``.
+        #: Pending entries, FIFO -- always a suffix of ``_checkpoints``.
         self._pending: List[Checkpoint] = []
-        #: Per-key encoded buffers of the most recent *finalised* state
-        #: (take, drain, or restore), the diff base for the next
-        #: delta/finalise.
-        self._prev_key_blobs: Optional[Dict[object, bytes]] = None
-        self._prev_hash: bytes = b""
-        self._prev_size: int = 0
-        #: Version map + key set snapshot of the most recent *take*
-        #: (pending included), the clean/dirty baseline for the next.
-        self._prev_versions: Optional[Dict[object, int]] = None
-        self._prev_state_keys: Optional[frozenset] = None
-        #: Entries since (and including) the last full image; resets
-        #: the delta chain when it reaches ``full_every``.  Advanced at
-        #: finalise time so deferred entries classify in FIFO order.
-        self._chain_len = 0
-        #: Newest event seq the owning stub has reported
-        #: (:meth:`note_seq`); drives the checkpoint-lag stat.
+        #: Image of the newest *finalised* state (take, drain, restore):
+        #: the buffers the next image shares.
+        self._image: Optional[Dict[object, bytes]] = None
+        #: Version map + key set of the newest *take* (pending
+        #: included): the clean/dirty baseline for the next one.
+        self._versions: Optional[Dict[object, int]] = None
+        self._keys: Optional[frozenset] = None
+        #: Newest event seq the stub reported (:meth:`note_seq`).
         self._last_seq = 0
         self.taken_count = 0
         self.restored_count = 0
-        self.full_count = 0
-        self.delta_count = 0
+        #: Takes whose version map had not moved (they share the
+        #: predecessor's image and write nothing).
         self.dedup_hits = 0
         self.evicted_count = 0
-        #: Bytes currently retained across live checkpoints (eviction
-        #: subtracts; use :attr:`bytes_written` for the cumulative I/O).
-        self.total_bytes = 0
         self.bytes_written = 0
         self.total_cost = 0.0
-        #: Value-codec invocation counts.  ``value_encodes`` is the
-        #: serialize-call count the double-serialization regression
-        #: test pins: one encode per *dirty* state key per (non-dedup'd
-        #: differing) take, no re-encodes for the stored image.
+        #: One encode per *dirty* key per take (every key for untracked
+        #: apps); ``encodes_skipped`` counts the clean keys.
         self.value_encodes = 0
         self.value_decodes = 0
-        #: Keys whose encode was skipped because their version (and so
-        #: their value) had not moved since the previous take.
         self.encodes_skipped = 0
-        #: Deferred-encoding accounting: entries finalised in drains,
-        #: their background cost, and entries lost to a crash.
         self.deferred_takes = 0
         self.deferred_drains = 0
         self.deferred_cost = 0.0
         self.pending_dropped = 0
 
-    # -- value codec -----------------------------------------------------
-
-    def _encode_val(self, value) -> bytes:
-        self.value_encodes += 1
-        if self.codec == "schema":
-            return encode_state_value(value)
-        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def _decode_val(self, buf: bytes):
-        self.value_decodes += 1
-        if self.codec == "schema":
-            return decode_state_value(buf)
-        return pickle.loads(buf)
-
-    # -- snapshot --------------------------------------------------------
-
-    def _versions_of(self, app) -> Optional[Dict[object, int]]:
-        """The app's live version map, or None (conservative path)."""
-        if not self.use_versions:
-            return None
+    @staticmethod
+    def _versions_of(app) -> Optional[Dict[object, int]]:
+        """The app's live version map, or None (untracked app)."""
         source = getattr(app, "state_versions", None)
-        if source is None:
-            return None
         return source() if callable(source) else None
 
-    def _key_blobs(self, state: dict,
-                   versions: Optional[Dict[object, int]],
-                   ) -> Tuple[Dict[object, bytes], int]:
-        """Encode ``state`` per key, reusing the previous take's buffer
-        for every key whose version has not moved.  Returns the buffer
-        map and the number of bytes actually (re-)encoded."""
-        prev_blobs = self._prev_key_blobs
-        prev_versions = self._prev_versions
-        if (versions is None or prev_blobs is None
-                or prev_versions is None):
-            blobs = {key: self._encode_val(value)
-                     for key, value in state.items()}
-            return blobs, sum(len(b) for b in blobs.values())
-        blobs: Dict[object, bytes] = {}
-        encoded_bytes = 0
-        skipped = 0
-        for key, value in state.items():
-            prev = prev_blobs.get(key)
-            if (prev is not None
-                    and versions.get(key) == prev_versions.get(key)):
-                blobs[key] = prev
-                skipped += 1
+    def _build(self, items: Iterable[Tuple[object, object]],
+               ) -> Tuple[Dict[object, bytes], int, int, int]:
+        """Encode ``(key, value | _SAME)`` pairs into the next image,
+        sharing the predecessor's buffers.  Returns the image, its
+        size, the bytes encoded, and the bytes newly written."""
+        prev = self._image or {}
+        image: Dict[object, bytes] = {}
+        encoded = written = 0
+        for key, value in items:
+            if value is _SAME:
+                image[key] = prev[key]
+                self.encodes_skipped += 1
+                continue
+            self.value_encodes += 1
+            buf = encode_state_value(value)
+            encoded += len(buf)
+            old = prev.get(key)
+            if buf == old:
+                buf = old
             else:
-                blob = self._encode_val(value)
-                blobs[key] = blob
-                encoded_bytes += len(blob)
-        self.encodes_skipped += skipped
-        return blobs, encoded_bytes
-
-    @staticmethod
-    def _hash_of(key_blobs: Dict[object, bytes]) -> bytes:
-        digest = hashlib.blake2b(digest_size=16)
-        for key in sorted(key_blobs, key=repr):
-            digest.update(repr(key).encode())
-            digest.update(key_blobs[key])
-        return digest.digest()
+                written += len(buf)
+            image[key] = buf
+        if not written and len(image) == len(prev):
+            image = prev  # nothing moved: share the whole map
+        self._image = image
+        self.bytes_written += written
+        if self.metrics is not None and written:
+            self.metrics.inc("checkpoint.bytes_written", written)
+        return image, sum(map(len, image.values())), encoded, written
 
     def note_seq(self, seq: int) -> None:
         """The stub reports every event seq it sees, so checkpoint lag
@@ -364,201 +214,95 @@ class CheckpointStore:
              defer: Optional[bool] = None) -> Checkpoint:
         """Snapshot ``app`` prior to event ``before_seq``.
 
-        Returns the checkpoint; its modelled (event-path) cost is
-        available via :meth:`cost_of` and accumulated in
-        :attr:`total_cost`.  ``defer`` overrides the store's
-        :attr:`deferred` default for this take (the stub forces
-        synchronous takes when a state-size resource limit needs an
-        exact image size).
+        Its modelled (event-path) cost is :meth:`cost_of`.  ``defer``
+        overrides :attr:`deferred` for this take (the stub forces
+        synchronous takes when it needs an exact image size).
         """
         self.note_seq(before_seq)
         try:
             state = app.get_state()
-            if isinstance(state, dict):
-                versions = self._versions_of(app)
-                full_blob = None
-            else:
-                # Non-dict states fall back to monolithic snapshots.
-                versions = None
-                self.value_encodes += 1
-                full_blob = pickle.dumps(state,
-                                         protocol=pickle.HIGHEST_PROTOCOL)
+            versions = (self._versions_of(app)
+                        if isinstance(state, dict) else None)
         except Exception as exc:
             raise CheckpointError(f"cannot snapshot {app.name}: {exc}") from exc
-
         defer = self.deferred if defer is None else defer
-        if full_blob is not None:
-            self.flush()
-            checkpoint = self._append(Checkpoint(
-                before_seq=before_seq, taken_at=now, blob=full_blob,
-                kind=FULL, state_hash=b"", state_size=len(full_blob),
-                cost=self.base_cost + len(full_blob) * self.per_byte_cost,
-                layout=STATE,
-            ))
-            self._prev_key_blobs = None
-            self._prev_hash = b""
-            self._prev_size = len(full_blob)
-            self._prev_versions = None
-            self._prev_state_keys = None
-        elif (defer and versions is not None and self._checkpoints
-                and self._prev_versions is not None
-                and self._prev_key_blobs is not None):
-            checkpoint = self._take_deferred(before_seq, now, state,
-                                             versions)
+        if (defer and versions is not None and self._checkpoints
+                and self._versions is not None):
+            checkpoint = self._capture(before_seq, now, state, versions)
         else:
             self.flush()
-            checkpoint = self._take_sync(before_seq, now, state, versions)
+            checkpoint = self._take_now(before_seq, now, state, versions)
         self.taken_count += 1
         self.total_cost += checkpoint.cost
         if self.metrics is not None:
             self.metrics.inc("checkpoint.taken")
         return checkpoint
 
-    def _take_sync(self, before_seq: int, now: float, state: dict,
-                   versions: Optional[Dict[object, int]]) -> Checkpoint:
-        """The synchronous (encode-now) take path."""
-        version_cost = 0.0
-        if (versions is not None and self.dedup
-                and self._versions_unchanged(state, versions)):
-            # The whole version map is where it was: nothing to encode,
-            # nothing to hash -- record the position, share the
-            # predecessor's image, charge only the version compare.
-            version_cost = len(state) * self.version_check_per_key_cost
+    def _is_clean(self, key, versions: Dict[object, int]) -> bool:
+        return (key in self._keys
+                and versions.get(key) == self._versions.get(key))
+
+    def _note_baseline(self, state, versions) -> None:
+        """Make this take's version map + key set the next baseline,
+        counting a dedup hit when neither moved."""
+        if versions is None:
+            self._versions = self._keys = None
+            return
+        if versions == self._versions and self._keys == state.keys():
             self.dedup_hits += 1
-            self.encodes_skipped += len(state)
-            return self._append(Checkpoint(
-                before_seq=before_seq, taken_at=now, blob=b"",
-                kind=DEDUP, state_hash=self._prev_hash,
-                state_size=self._prev_size, cost=version_cost,
-            ))
-        if versions is not None:
-            version_cost = len(state) * self.version_check_per_key_cost
-        key_blobs, encoded_bytes = self._key_blobs(state, versions)
-        state_size = sum(len(b) for b in key_blobs.values())
-        state_hash = self._hash_of(key_blobs)
-        # With version tracking the verify pass only reads the dirty
-        # bytes; without it, the whole image (the pre-tracking model).
-        hashed_bytes = encoded_bytes if versions is not None else state_size
-        hash_cost = hashed_bytes * self.hash_per_byte_cost + version_cost
-        checkpoint = self._take_incremental(
-            before_seq, now, key_blobs, state_hash, state_size, hash_cost)
-        self._prev_versions = dict(versions) if versions is not None else None
-        self._prev_state_keys = (frozenset(state) if versions is not None
-                                 else None)
-        return checkpoint
+        self._versions = dict(versions)
+        self._keys = frozenset(state)
 
-    def _versions_unchanged(self, state: dict,
-                            versions: Dict[object, int]) -> bool:
-        """True when the version map and key set both match the
-        previous take exactly -- the state cannot have changed."""
-        return (self._prev_versions is not None
-                and self._prev_state_keys is not None
-                and self._checkpoints
-                and frozenset(state) == self._prev_state_keys
-                and versions == self._prev_versions)
+    def _take_now(self, before_seq: int, now: float, state,
+                  versions: Optional[Dict[object, int]]) -> Checkpoint:
+        if not isinstance(state, dict):
+            items: Iterable = ((_WHOLE, state),)
+        elif versions is None or self._versions is None:
+            items = state.items()
+        else:
+            items = ((key, _SAME if self._is_clean(key, versions) else value)
+                     for key, value in state.items())
+        image, size, encoded, written = self._build(items)
+        if not self._checkpoints or not isinstance(state, dict):
+            cost = self.base_cost + size * self.per_byte_cost
+        else:
+            cost = (encoded * self.encode_per_byte_cost
+                    + written * self.per_byte_cost)
+            if versions is not None:
+                cost += len(state) * self.version_check_per_key_cost
+        self._note_baseline(state, versions)
+        return self._append(Checkpoint(
+            before_seq=before_seq, taken_at=now, image=image,
+            state_size=size, cost=cost))
 
-    # -- deferred takes ---------------------------------------------------
-
-    def _take_deferred(self, before_seq: int, now: float, state: dict,
-                       versions: Dict[object, int]) -> Checkpoint:
-        """Capture now, encode later (:meth:`drain`).
-
-        Clean keys (version unmoved) are recorded as ``_SAME`` markers
-        resolved against the predecessor's buffers at drain time;
-        dirty keys are shallow-copied so later in-place mutations by
-        the app cannot leak into this snapshot.
-        """
-        prev_versions = self._prev_versions
-        prev_keys = self._prev_state_keys or frozenset()
-        capture: Dict[object, object] = {}
-        dirty = 0
-        for key, value in state.items():
-            if (key in prev_keys
-                    and versions.get(key) == prev_versions.get(key)):
-                capture[key] = _SAME
-            else:
-                capture[key] = _shallow_copy(value)
-                dirty += 1
+    def _capture(self, before_seq: int, now: float, state: dict,
+                 versions: Dict[object, int]) -> Checkpoint:
+        """Capture now, encode later (:meth:`drain`): clean keys become
+        ``_SAME`` markers, dirty keys shallow copies that later in-place
+        mutations by the app cannot reach."""
+        capture = {key: _SAME if self._is_clean(key, versions)
+                   else _shallow_copy(value) for key, value in state.items()}
+        dirty = sum(1 for value in capture.values() if value is not _SAME)
         cost = (self.capture_base_cost
                 + dirty * self.capture_per_key_cost
                 + len(state) * self.version_check_per_key_cost)
-        checkpoint = Checkpoint(
-            before_seq=before_seq, taken_at=now, blob=b"",
-            kind=DELTA, state_hash=b"", state_size=0, cost=cost,
-            pending=True, capture=capture,
-        )
         self.deferred_takes += 1
-        self._prev_versions = dict(versions)
-        self._prev_state_keys = frozenset(state)
-        return self._append(checkpoint)
+        self._note_baseline(state, versions)
+        return self._append(Checkpoint(
+            before_seq=before_seq, taken_at=now, cost=cost,
+            capture=capture))
 
     def _finalize(self, entry: Checkpoint) -> float:
         """Encode one pending entry; returns its background cost."""
-        prev = self._prev_key_blobs or {}
-        key_blobs: Dict[object, bytes] = {}
-        encoded_bytes = 0
-        skipped = 0
-        for key, marker in entry.capture.items():
-            if marker is _SAME:
-                try:
-                    key_blobs[key] = prev[key]
-                except KeyError:
-                    raise CheckpointError(
-                        f"deferred capture at before_seq="
-                        f"{entry.before_seq} references a key with no "
-                        "predecessor buffer") from None
-                skipped += 1
-            else:
-                blob = self._encode_val(marker)
-                key_blobs[key] = blob
-                encoded_bytes += len(blob)
-        self.encodes_skipped += skipped
+        image, size, encoded, written = self._build(entry.capture.items())
+        cost = (encoded * self.encode_per_byte_cost
+                + written * self.per_byte_cost)
+        entry.image, entry.state_size = image, size
         entry.capture = None
-        entry.pending = False
-        self._pending.remove(entry)
-        state_size = sum(len(b) for b in key_blobs.values())
-        state_hash = self._hash_of(key_blobs)
-        hash_cost = encoded_bytes * self.hash_per_byte_cost
-        entry.state_size = state_size
-        entry.state_hash = state_hash
-        if self.dedup and state_hash == self._prev_hash:
-            entry.kind = DEDUP
-            entry.blob = b""
-            self.dedup_hits += 1
-            bg_cost = hash_cost
-        elif self._chain_len < self.full_every:
-            changed = {k: b for k, b in key_blobs.items()
-                       if prev.get(k) != b}
-            removed = tuple(k for k in prev if k not in key_blobs)
-            blob = pickle.dumps((changed, removed),
-                                protocol=pickle.HIGHEST_PROTOCOL)
-            changed_bytes = sum(len(b) for b in changed.values())
-            entry.kind = DELTA
-            entry.blob = blob
-            self._chain_len += 1
-            self.delta_count += 1
-            bg_cost = self._delta_cost(hash_cost, changed_bytes, len(blob))
-        else:
-            blob = self._keymap_blob(key_blobs)
-            entry.kind = FULL
-            entry.layout = KEYMAP
-            entry.blob = blob
-            self._chain_len = 1
-            self.full_count += 1
-            bg_cost = (hash_cost + self.base_cost
-                       + len(blob) * self.per_byte_cost)
-        entry.encode_cost = bg_cost
-        self.total_bytes += entry.size
-        self.bytes_written += entry.size
-        self.total_cost += bg_cost
-        self.deferred_cost += bg_cost
+        self.total_cost += cost
+        self.deferred_cost += cost
         self.deferred_drains += 1
-        self._prev_key_blobs = key_blobs
-        self._prev_hash = state_hash
-        self._prev_size = state_size
-        if self.metrics is not None and entry.size:
-            self.metrics.inc("checkpoint.bytes_written", entry.size)
-        return bg_cost
+        return cost
 
     def drain(self, budget: Optional[int] = None,
               ) -> Tuple[List[Checkpoint], float]:
@@ -568,7 +312,7 @@ class CheckpointStore:
         finalized: List[Checkpoint] = []
         cost = 0.0
         while self._pending and (budget is None or len(finalized) < budget):
-            entry = self._pending[0]
+            entry = self._pending.pop(0)
             cost += self._finalize(entry)
             finalized.append(entry)
         return finalized, cost
@@ -587,122 +331,28 @@ class CheckpointStore:
         if not self._pending:
             return 0
         dropped = len(self._pending)
-        pending = set(map(id, self._pending))
-        self._checkpoints = [c for c in self._checkpoints
-                             if id(c) not in pending]
+        del self._checkpoints[-dropped:]
         self._pending.clear()
         self.pending_dropped += dropped
         # The clean/dirty baseline described a dropped take; the next
-        # take must not skip against it.  (Restore re-pairs the
-        # baseline right after, on the crash path.)
-        self._prev_versions = None
-        self._prev_state_keys = None
+        # take must not skip against it.
+        self._versions = self._keys = None
         if self.metrics is not None:
             self.metrics.inc("checkpoint.pending_dropped", dropped)
         return dropped
 
-    @staticmethod
-    def _keymap_blob(key_blobs: Dict[object, bytes]) -> bytes:
-        """Serialise the per-key buffer map as a FULL image, reusing
-        the already-encoded buffers (no per-value re-serialization)."""
-        return pickle.dumps(key_blobs, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def _delta_cost(self, hash_cost: float, changed_bytes: int,
-                    blob_len: int) -> float:
-        if self.codec == "schema":
-            # Userspace incremental encode: pay per changed byte, no
-            # freeze-the-world constant.
-            return (hash_cost + changed_bytes * self.encode_per_byte_cost
-                    + blob_len * self.per_byte_cost)
-        return (hash_cost + self.delta_base_cost
-                + blob_len * self.per_byte_cost)
-
-    def _take_incremental(self, before_seq: int, now: float,
-                          key_blobs: Dict[object, bytes],
-                          state_hash: bytes, state_size: int,
-                          hash_cost: float) -> Checkpoint:
-        if (self.dedup and self._checkpoints
-                and state_hash == self._prev_hash):
-            # Unchanged since the last checkpoint: record the position,
-            # share the predecessor's image, charge only the hash pass.
-            self.dedup_hits += 1
-            return self._append(Checkpoint(
-                before_seq=before_seq, taken_at=now, blob=b"",
-                kind=DEDUP, state_hash=state_hash, state_size=state_size,
-                cost=hash_cost,
-            ))
-        prev = self._prev_key_blobs
-        if (prev is not None and self._checkpoints
-                and self._chain_len < self.full_every):
-            changed = {k: b for k, b in key_blobs.items()
-                       if prev.get(k) != b}
-            removed = tuple(k for k in prev if k not in key_blobs)
-            blob = pickle.dumps((changed, removed),
-                                protocol=pickle.HIGHEST_PROTOCOL)
-            changed_bytes = sum(len(b) for b in changed.values())
-            checkpoint = self._append(Checkpoint(
-                before_seq=before_seq, taken_at=now, blob=blob,
-                kind=DELTA, state_hash=state_hash, state_size=state_size,
-                cost=self._delta_cost(hash_cost, changed_bytes, len(blob)),
-            ))
-        else:
-            blob = self._keymap_blob(key_blobs)
-            checkpoint = self._append(Checkpoint(
-                before_seq=before_seq, taken_at=now, blob=blob,
-                kind=FULL, state_hash=state_hash, state_size=state_size,
-                cost=(hash_cost + self.base_cost
-                      + len(blob) * self.per_byte_cost),
-                layout=KEYMAP,
-            ))
-        self._prev_key_blobs = key_blobs
-        self._prev_hash = state_hash
-        self._prev_size = state_size
-        return checkpoint
-
     def _append(self, checkpoint: Checkpoint) -> Checkpoint:
         if checkpoint.pending:
             self._pending.append(checkpoint)
-        elif checkpoint.kind == FULL:
-            self._chain_len = 1
-            self.full_count += 1
-        elif checkpoint.kind == DELTA:
-            self._chain_len += 1
-            self.delta_count += 1
         self._checkpoints.append(checkpoint)
-        self.total_bytes += checkpoint.size
-        self.bytes_written += checkpoint.size
-        if (self.metrics is not None and checkpoint.size
-                and not checkpoint.pending):
-            self.metrics.inc("checkpoint.bytes_written", checkpoint.size)
-        if len(self._checkpoints) > self.keep:
-            # Eviction promotes the survivor through the dropped
-            # entries, which needs every image final.
+        excess = len(self._checkpoints) - self.keep
+        if excess > 0:
+            # A durability point: an entry never leaves unencoded, since
+            # its successors' markers resolve against its buffers.
             self.flush()
-            self._evict(len(self._checkpoints) - self.keep)
+            del self._checkpoints[:excess]
+            self.evicted_count += excess
         return checkpoint
-
-    def _evict(self, count: int) -> None:
-        """Drop the ``count`` oldest entries, keeping chains restorable.
-
-        If the survivor at the cut is a delta or dedup entry, it is
-        promoted to a full image first (materialised through the
-        entries about to be dropped), so truncation never strands a
-        chain's tail past its base.  Promotion folds the chain's
-        *buffers* -- values are never decoded or re-encoded.
-        """
-        survivor = self._checkpoints[count]
-        if survivor.kind != FULL:
-            blobs = self._materialize_blobs(survivor)
-            blob = self._keymap_blob(blobs)
-            self.total_bytes += len(blob) - survivor.size
-            self.bytes_written += len(blob)
-            survivor.blob = blob
-            survivor.kind = FULL
-            survivor.layout = KEYMAP
-        for old in self._checkpoints[:count]:
-            self.total_bytes -= old.size
-        self.evicted_count += count
-        del self._checkpoints[:count]
 
     def cost_of(self, checkpoint: Checkpoint) -> float:
         """Simulated seconds this checkpoint cost to take (the event-
@@ -711,36 +361,15 @@ class CheckpointStore:
 
     def restore_cost_of(self, checkpoint: Checkpoint) -> float:
         """Simulated seconds a restore from ``checkpoint`` costs: one
-        full-image load plus folding in the chain's delta bytes."""
-        extra = 0
-        if checkpoint.kind != FULL:
-            idx = self._index_of(checkpoint)
-            for entry in reversed(self._checkpoints[:idx + 1]):
-                if entry.kind == FULL:
-                    break
-                extra += entry.size
-        return (self.base_cost
-                + (checkpoint.state_size + extra) * self.per_byte_cost)
-
-    # -- restore -----------------------------------------------------------
-
-    def _index_of(self, checkpoint: Checkpoint) -> int:
-        """Identity-based position lookup (dataclass ``==`` compares by
-        value, and duplicate ``before_seq`` takes are legal)."""
-        for idx, entry in enumerate(self._checkpoints):
-            if entry is checkpoint:
-                return idx
-        raise CheckpointError(
-            f"checkpoint before_seq={checkpoint.before_seq} "
-            "is not in this store")
+        image load."""
+        return self.base_cost + checkpoint.state_size * self.per_byte_cost
 
     def latest_before(self, seq: int) -> Optional[Checkpoint]:
         """Newest checkpoint with ``before_seq`` <= ``seq``.
 
-        ``before_seq`` is monotonic in the store (takes use the stub's
-        increasing seq counter and restore truncates a suffix), so the
-        reverse scan prefers the newest entry among duplicates -- the
-        one whose state the current timeline actually produced.
+        ``before_seq`` is monotonic in the store (restore truncates a
+        suffix), so among duplicates the reverse scan picks the newest
+        -- the one the current timeline actually produced.
         """
         for entry in reversed(self._checkpoints):
             if entry.before_seq <= seq:
@@ -754,150 +383,64 @@ class CheckpointStore:
                 return entry
         return None
 
-    def _materialize_blobs(self, checkpoint: Checkpoint) -> Dict[object, bytes]:
-        """The per-key encoded buffers at ``checkpoint``, reconstructing
-        delta/dedup entries by folding their chain at the buffer level
-        (no value decodes)."""
+    def _load(self, checkpoint: Checkpoint):
+        """Decode ``checkpoint``'s image back into the app state."""
         if checkpoint.pending:
             self.flush()
-        if checkpoint.kind == FULL:
-            if checkpoint.layout != KEYMAP:
-                raise CheckpointError(
-                    f"checkpoint before_seq={checkpoint.before_seq} "
-                    "has a monolithic image, not per-key buffers")
-            return dict(pickle.loads(checkpoint.blob))
-        idx = self._index_of(checkpoint)
-        chain: List[Checkpoint] = []
-        base: Optional[Checkpoint] = None
-        for entry in reversed(self._checkpoints[:idx + 1]):
-            if entry.pending:
-                raise CheckpointError(
-                    f"delta chain for before_seq={checkpoint.before_seq} "
-                    "crosses a pending entry (flush first)")
-            if entry.kind == FULL:
-                base = entry
-                break
-            chain.append(entry)
-        if base is None or base.layout != KEYMAP:
-            raise CheckpointError(
-                f"delta chain for before_seq={checkpoint.before_seq} "
-                "has no full image")
+        image = checkpoint.image
+        if image is None:  # a dropped pending entry
+            raise CheckpointError(f"checkpoint before_seq="
+                                  f"{checkpoint.before_seq} was dropped")
+        self.value_decodes += len(image)
         try:
-            blobs = dict(pickle.loads(base.blob))
-            for entry in reversed(chain):
-                if entry.kind != DELTA:
-                    continue  # dedup: state unchanged
-                changed, removed = pickle.loads(entry.blob)
-                for key in removed:
-                    blobs.pop(key, None)
-                blobs.update(changed)
-        except CheckpointError:
-            raise
+            if _WHOLE in image:
+                return decode_state_value(image[_WHOLE])
+            return {key: decode_state_value(buf)
+                    for key, buf in image.items()}
         except Exception as exc:
             raise CheckpointError(
-                f"corrupt checkpoint chain at "
-                f"before_seq={checkpoint.before_seq}: {exc}") from exc
-        return blobs
+                f"corrupt checkpoint at before_seq="
+                f"{checkpoint.before_seq}: {exc}") from exc
 
     def materialize(self, checkpoint: Checkpoint) -> bytes:
-        """The full pickled state at ``checkpoint``, reconstructing
-        delta/dedup entries from their chain (restore-equivalent to a
-        full image taken at the same point)."""
-        if checkpoint.kind == FULL and checkpoint.layout == STATE:
-            return checkpoint.blob
-        blobs = self._materialize_blobs(checkpoint)
-        try:
-            state = {key: self._decode_val(buf)
-                     for key, buf in blobs.items()}
-        except Exception as exc:
-            raise CheckpointError(
-                f"corrupt checkpoint chain at "
-                f"before_seq={checkpoint.before_seq}: {exc}") from exc
-        return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        """The full pickled state at ``checkpoint`` (what a monolithic
+        image taken at the same point would hold)."""
+        return pickle.dumps(self._load(checkpoint),
+                            protocol=pickle.HIGHEST_PROTOCOL)
 
     def restore(self, app, checkpoint: Checkpoint) -> None:
         """Load ``checkpoint`` into ``app`` (the CRIU restore).
 
-        Entries newer than the restored one are dropped: they describe
-        a future the rollback abandoned, and leaving them in place
-        would let a later dedup take alias their (stale) chain -- or a
-        later :meth:`latest_before` pick one -- silently restoring the
-        pre-rollback timeline's state.
-
-        Pending entries are flushed first: a *planned* restore needs
-        the image.  (Crash recovery calls :meth:`drop_pending` before
-        picking its target, so this flush is a no-op there.)
+        Entries newer than the restored one describe a future the
+        rollback abandoned and are dropped, so a later
+        :meth:`latest_before` cannot resurrect it.  Pending entries are
+        flushed first (crash recovery has already dropped them).
         """
         self.flush()
-        blobs: Optional[Dict[object, bytes]] = None
-        try:
-            if checkpoint.kind == FULL and checkpoint.layout == STATE:
-                state = pickle.loads(checkpoint.blob)
-            else:
-                blobs = self._materialize_blobs(checkpoint)
-                state = {key: self._decode_val(buf)
-                         for key, buf in blobs.items()}
-        except CheckpointError:
-            raise
-        except Exception as exc:
-            raise CheckpointError(
-                f"corrupt checkpoint for {app.name}: {exc}"
-            ) from exc
+        state = self._load(checkpoint)
         app.set_state(state)
         self.restored_count += 1
         self._truncate_after(checkpoint)
-        # The next take diffs (and dedups) against the *restored*
-        # state, not the state of the last take (which the rollback
-        # just discarded).  A dedup may alias the restored entry --
-        # truncation just made it the newest -- which is exactly the
-        # state an unchanged take would re-capture.  The materialised
-        # buffers *are* the encoded form of the restored state, so
-        # they seed the diff base with no re-encode.
-        if blobs is not None:
-            self._prev_key_blobs = blobs
-            self._prev_hash = self._hash_of(blobs)
-        elif isinstance(state, dict):
-            self._prev_key_blobs = self._key_blobs(state, None)[0]
-            self._prev_hash = self._hash_of(self._prev_key_blobs)
-        else:
-            self._prev_key_blobs = None
-            self._prev_hash = b""
-        self._prev_size = (sum(len(b) for b in self._prev_key_blobs.values())
-                           if self._prev_key_blobs is not None else 0)
-        # Re-pair the version baseline with the restored buffers: the
-        # version map survives set_state untouched (it is bookkeeping
-        # about the state, not state), so pairing it with the restored
-        # buffers *now* absorbs any version bumped by the handler that
-        # crashed mid-run.  Replay bumps versions for every key it
-        # touches, forcing their re-encode at the next take.
-        versions = (self._versions_of(app)
-                    if isinstance(state, dict) else None)
-        if versions is not None:
-            self._prev_versions = dict(versions)
-            self._prev_state_keys = frozenset(state)
-        else:
-            self._prev_versions = None
-            self._prev_state_keys = None
-        # Force the next changed-state take to open a fresh chain.
-        self._chain_len = self.full_every
+        # The next take shares the *restored* buffers.  The version map
+        # survives set_state, so pairing it with them now absorbs any
+        # bump by the handler that crashed; replay bumps every key it
+        # touches, forcing their re-encode.
+        self._image = checkpoint.image
+        self._versions = self._keys = None
+        self._note_baseline(state, self._versions_of(app)
+                            if isinstance(state, dict) else None)
 
     def _truncate_after(self, checkpoint: Checkpoint) -> None:
         """Drop every entry newer than ``checkpoint`` (the abandoned
-        future), keeping retention accounting consistent."""
-        try:
-            cut = self._index_of(checkpoint) + 1
-        except CheckpointError:
-            # Restoring a checkpoint no longer in the store (evicted):
-            # everything retained that post-dates it is abandoned.
-            # before_seq is monotonic, so this still removes a suffix.
-            cut = 0
-            while (cut < len(self._checkpoints)
-                   and (self._checkpoints[cut].before_seq
-                        <= checkpoint.before_seq)):
-                cut += 1
-        for entry in self._checkpoints[cut:]:
-            self.total_bytes -= entry.size
-        del self._checkpoints[cut:]
+        future)."""
+        for idx, entry in enumerate(self._checkpoints):
+            if entry is checkpoint:
+                del self._checkpoints[idx + 1:]
+                return
+        # An evicted target: everything retained that post-dates it is
+        # abandoned (before_seq is monotonic, so this is a suffix).
+        self._checkpoints = [entry for entry in self._checkpoints
+                             if entry.before_seq <= checkpoint.before_seq]
 
     @property
     def count(self) -> int:
@@ -906,6 +449,14 @@ class CheckpointStore:
     @property
     def pending_count(self) -> int:
         return len(self._pending)
+
+    @property
+    def retained_bytes(self) -> int:
+        """Bytes of the distinct buffers live entries reference."""
+        sizes = {id(buf): len(buf)
+                 for entry in self._checkpoints if entry.image
+                 for buf in entry.image.values()}
+        return sum(sizes.values())
 
     def latest(self) -> Optional[Checkpoint]:
         return self._checkpoints[-1] if self._checkpoints else None
@@ -922,22 +473,17 @@ class CheckpointStore:
         """Events since the last *durable* image -- the NetLog tail a
         crash right now would have to replay."""
         durable = self.latest_durable()
-        if durable is None:
-            return self._last_seq
-        return max(0, self._last_seq - durable.before_seq)
+        return max(0, self._last_seq - (durable.before_seq if durable else 0))
 
     def stats(self) -> Dict[str, object]:
         """Counters for experiment reporting (E7's cost columns)."""
         return {
             "taken": self.taken_count,
-            "full": self.full_count,
-            "delta": self.delta_count,
             "dedup_hits": self.dedup_hits,
             "evicted": self.evicted_count,
-            "retained_bytes": self.total_bytes,
+            "retained_bytes": self.retained_bytes,
             "bytes_written": self.bytes_written,
             "total_cost": self.total_cost,
-            "codec": self.codec,
             "value_encodes": self.value_encodes,
             "value_decodes": self.value_decodes,
             "encodes_skipped": self.encodes_skipped,

@@ -46,12 +46,7 @@ class LegoSDNRuntime:
                  chaos=None,
                  checkpoint_base_cost: float = 0.010,
                  checkpoint_per_byte_cost: float = 1e-7,
-                 checkpoint_full_every: int = 8,
-                 checkpoint_delta_cost: float = 0.002,
-                 checkpoint_dedup: bool = True,
-                 checkpoint_codec: str = "schema",
                  checkpoint_encode_per_byte_cost: float = 5e-9,
-                 checkpoint_dirty_tracking: bool = True,
                  checkpoint_deferred: bool = True,
                  checkpoint_adaptive: bool = False,
                  checkpoint_max_tail: int = 64,
@@ -83,23 +78,7 @@ class LegoSDNRuntime:
         self.chaos = chaos
         self.checkpoint_base_cost = checkpoint_base_cost
         self.checkpoint_per_byte_cost = checkpoint_per_byte_cost
-        #: Incremental checkpointing knobs: a full image every
-        #: ``checkpoint_full_every`` takes with per-key deltas between
-        #: (1 = every checkpoint full, the pre-incremental behaviour),
-        #: ``checkpoint_delta_cost`` as the delta freeze overhead, and
-        #: hash-based skip of unchanged states when ``checkpoint_dedup``.
-        self.checkpoint_full_every = checkpoint_full_every
-        self.checkpoint_delta_cost = checkpoint_delta_cost
-        self.checkpoint_dedup = checkpoint_dedup
-        #: Value codec for checkpoint images: ``"schema"`` (packed wire
-        #: codec, per-changed-byte delta costs) or ``"pickle"`` (the
-        #: legacy format with CRIU-style fixed delta freeze costs).
-        self.checkpoint_codec = checkpoint_codec
         self.checkpoint_encode_per_byte_cost = checkpoint_encode_per_byte_cost
-        #: Consult app-side per-key version counters (``mark_dirty``) to
-        #: skip re-encoding unchanged keys on every take; apps without
-        #: tracking keep the conservative encode-everything path.
-        self.checkpoint_dirty_tracking = checkpoint_dirty_tracking
         #: Move checkpoint encoding off the event path: takes capture
         #: cheap references, the stub heartbeat drains the encodes.
         self.checkpoint_deferred = checkpoint_deferred
@@ -158,12 +137,7 @@ class LegoSDNRuntime:
         store = CheckpointStore(
             base_cost=self.checkpoint_base_cost,
             per_byte_cost=self.checkpoint_per_byte_cost,
-            full_every=self.checkpoint_full_every,
-            delta_base_cost=self.checkpoint_delta_cost,
-            dedup=self.checkpoint_dedup,
-            codec=self.checkpoint_codec,
             encode_per_byte_cost=self.checkpoint_encode_per_byte_cost,
-            use_versions=self.checkpoint_dirty_tracking,
             deferred=self.checkpoint_deferred,
             metrics=self.controller.telemetry.metrics
             if self.controller.telemetry is not None else None,

@@ -351,7 +351,7 @@ def _read_value(r: _Reader):
     if tag == _T_ENUM_ID:
         eid = r.varint()
         value = r.varint()
-        if eid >= len(_enum_classes):
+        if not 0 <= eid < len(_enum_classes):
             raise SerializationError(f"unknown enum id on wire: {eid}")
         return _enum_classes[eid](value)
     if tag == _T_INT:
@@ -391,7 +391,7 @@ def _read_value(r: _Reader):
         return cls(**values)
     if tag == _T_SCHEMA:
         sid = r.varint()
-        if sid >= len(_schema_classes):
+        if not 0 <= sid < len(_schema_classes):
             raise SerializationError(f"unknown schema id on wire: {sid}")
         cls = _schema_classes[sid]
         flds = _schema_fields[sid]
@@ -529,8 +529,19 @@ def encode_value(value, codec: str = None) -> bytes:
 
 
 def decode_value(data: bytes):
-    """Parse a value produced by :func:`encode_value` (either codec)."""
-    return _read_value(_Reader(data))
+    """Parse a value produced by :func:`encode_value` (either codec).
+
+    Malformed input raises :class:`SerializationError` and nothing
+    else: an out-of-range enum value, a bad UTF-8 string, an
+    unhashable dict key or a field set the class rejects is a bad
+    buffer, not a bug in the caller.
+    """
+    try:
+        return _read_value(_Reader(data))
+    except SerializationError:
+        raise
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise SerializationError(f"malformed value: {exc}") from exc
 
 
 # -- checkpoint value codec -------------------------------------------

@@ -1387,15 +1387,13 @@ class ReplicaSet:
             channel_per_byte_delay=old_runtime.channel_per_byte_delay,
             channel_loss=old_runtime.channel_loss,
             channel_batch=old_runtime.channel_batch,
+            channel_reliable=old_runtime.channel_reliable,
+            channel_retry_budget=old_runtime.channel_retry_budget,
+            chaos=old_runtime.chaos,
             checkpoint_base_cost=old_runtime.checkpoint_base_cost,
             checkpoint_per_byte_cost=old_runtime.checkpoint_per_byte_cost,
-            checkpoint_full_every=old_runtime.checkpoint_full_every,
-            checkpoint_delta_cost=old_runtime.checkpoint_delta_cost,
-            checkpoint_dedup=old_runtime.checkpoint_dedup,
-            checkpoint_codec=old_runtime.checkpoint_codec,
             checkpoint_encode_per_byte_cost=(
                 old_runtime.checkpoint_encode_per_byte_cost),
-            checkpoint_dirty_tracking=old_runtime.checkpoint_dirty_tracking,
             checkpoint_deferred=old_runtime.checkpoint_deferred,
             checkpoint_adaptive=old_runtime.checkpoint_adaptive,
             checkpoint_max_tail=old_runtime.checkpoint_max_tail,

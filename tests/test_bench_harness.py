@@ -40,15 +40,13 @@ def test_tiny_run_produces_a_complete_report():
     assert results["bytes_per_event"] > 0
     assert results["latency_ms"]["p99"] >= results["latency_ms"]["p50"]
     assert results["checkpoint"]["taken"] > 0
-    assert results["checkpoint"]["codec"] == "schema"
+    assert results["checkpoint"]["bytes_written"] > 0
     assert report.environment["peak_rss_mb"] > 0
 
 
-def test_named_codec_run_uses_pickle_checkpoints_and_more_bytes():
+def test_named_codec_run_uses_more_bytes():
     packed = run_scenario(TINY, codec="packed")
     named = run_scenario(TINY, codec="named")
-    assert named.results["checkpoint"]["codec"] == "pickle"
-    assert packed.results["checkpoint"]["codec"] == "schema"
     # The headline wire effect: interned schemas shrink bytes/event.
     assert packed.results["bytes_per_event"] < named.results["bytes_per_event"]
 

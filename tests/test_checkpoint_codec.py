@@ -1,14 +1,14 @@
 """The checkpoint value codec and the double-serialization regression.
 
 Taking a checkpoint used to serialise every state value twice -- once
-for the dedup hash, once for the stored image.  The store now encodes
-each key exactly once per take and reuses those buffers for hashing,
-diffing, *and* the stored blob; ``value_encodes``/``value_decodes``
-count codec invocations so the property is pinned, not assumed.
+for a dedup hash, once for the stored image.  The store encodes each
+key exactly once per take and shares those buffers between images;
+``value_encodes``/``value_decodes`` count codec invocations so the
+property is pinned, not assumed.
 
-Also covers the ``codec="schema"`` mode: restore-equivalence with the
-pickle store, the packed-with-pickle-fallback state-value codec, and
-the cheaper delta cost model it unlocks.
+Each contract runs under both paths of the state-value codec: values
+the packed wire codec expresses (``schema``) and values it cannot,
+which fall back to pickle per value (``pickle``).
 """
 
 import copy
@@ -16,23 +16,37 @@ import pickle
 
 import pytest
 
-from repro.core.crashpad.checkpoint import (
-    DEDUP,
-    DELTA,
-    FULL,
-    CheckpointStore,
-)
+from repro.core.crashpad.checkpoint import CheckpointStore
 from repro.openflow.serialization import (
     decode_state_value,
     encode_state_value,
 )
 
+#: First byte of a state-value buffer for each codec path.
+PREFIX = {"schema": b"\x01", "pickle": b"\x00"}
+
+
+class Opaque:
+    """A value the packed codec cannot express (pickle fallback)."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, Opaque) and other.value == self.value
+
 
 class DictApp:
     name = "dictapp"
 
-    def __init__(self):
-        self.state = {"macs": {}, "count": 0}
+    def __init__(self, codec="schema"):
+        self.wrap = Opaque if codec == "pickle" else (lambda value: value)
+        self.state = {}
+        self.put("macs", {})
+        self.put("count", 0)
+
+    def put(self, key, value):
+        self.state[key] = self.wrap(value)
 
     def get_state(self):
         return {k: v for k, v in self.state.items()}
@@ -41,46 +55,54 @@ class DictApp:
         self.state = dict(state)
 
 
-@pytest.mark.parametrize("codec", ["pickle", "schema"])
+CODECS = pytest.mark.parametrize("codec", ["pickle", "schema"])
+
+
+@CODECS
 def test_take_encodes_each_key_exactly_once(codec):
-    """N takes of a K-key state = N*K encodes, zero decodes -- the
-    double-serialization regression pin."""
-    app = DictApp()
-    store = CheckpointStore(codec=codec)
+    """N takes of a K-key untracked state = N*K encodes, zero decodes
+    -- the double-serialization regression pin."""
+    app = DictApp(codec)
+    store = CheckpointStore()
     keys = len(app.get_state())
     takes = 6
     for seq in range(1, takes + 1):
-        app.state["count"] = seq          # differs -> never dedup'd
-        store.take(app, before_seq=seq, now=float(seq))
+        app.put("count", seq)             # differs -> never shared whole
+        checkpoint = store.take(app, before_seq=seq, now=float(seq))
     assert store.value_encodes == takes * keys
     assert store.value_decodes == 0
+    assert {buf[:1] for buf in checkpoint.image.values()} == {PREFIX[codec]}
 
 
-@pytest.mark.parametrize("codec", ["pickle", "schema"])
+@CODECS
 def test_dedup_take_still_encodes_once(codec):
-    """A dedup'd take must hash (hence encode) but store nothing --
-    and still never encode a key twice."""
-    app = DictApp()
-    store = CheckpointStore(codec=codec)
+    """An unchanged untracked take must encode (to compare) but write
+    nothing -- and still never encode a key twice."""
+    app = DictApp(codec)
+    store = CheckpointStore()
     keys = len(app.get_state())
-    store.take(app, before_seq=1, now=1.0)
+    first = store.take(app, before_seq=1, now=1.0)
+    written = store.bytes_written
     second = store.take(app, before_seq=2, now=2.0)  # unchanged state
-    assert second.kind == DEDUP
+    assert second.image is first.image
+    assert store.bytes_written == written
     assert store.value_encodes == 2 * keys
     assert store.value_decodes == 0
 
 
-@pytest.mark.parametrize("codec", ["pickle", "schema"])
+@CODECS
 def test_restore_equivalence_across_codecs(codec):
-    """materialize() yields the same monolithic pickle contract and
-    restore() reinstates the same state, whichever value codec the
-    store uses internally."""
-    app = DictApp()
-    store = CheckpointStore(codec=codec, full_every=3)
+    """materialize() yields the monolithic pickle contract and
+    restore() reinstates the state, whichever codec path the values
+    took."""
+    app = DictApp(codec)
+    store = CheckpointStore()
     snapshots = []
+    macs = {}
     for seq in range(1, 8):
-        app.state["macs"][f"02:00:00:00:00:{seq:02x}"] = seq
-        app.state["count"] = seq
+        macs = dict(macs, **{f"02:00:00:00:00:{seq:02x}": seq})
+        app.put("macs", macs)
+        app.put("count", seq)
         store.take(app, before_seq=seq, now=float(seq))
         snapshots.append(copy.deepcopy(app.get_state()))
     for checkpoint, expect in zip(store.history(), snapshots):
@@ -88,22 +110,6 @@ def test_restore_equivalence_across_codecs(codec):
     # Restore the oldest, then confirm the app actually holds it.
     store.restore(app, store.history()[0])
     assert app.get_state() == snapshots[0]
-
-
-def test_schema_delta_cheaper_than_pickle_delta():
-    """The schema codec's cost model drops the per-delta freeze
-    constant -- the source of the appvisor.event speedup the span-diff
-    gate pins -- so a small delta must cost less than pickle's."""
-    costs = {}
-    for codec in ("pickle", "schema"):
-        app = DictApp()
-        store = CheckpointStore(codec=codec)
-        store.take(app, before_seq=1, now=1.0)
-        app.state["count"] = 1
-        delta = store.take(app, before_seq=2, now=2.0)
-        assert delta.kind == DELTA
-        costs[codec] = delta.cost
-    assert costs["schema"] < costs["pickle"]
 
 
 def test_state_value_codec_round_trip_and_fallback():
@@ -121,29 +127,27 @@ def test_state_value_codec_round_trip_and_fallback():
 
 
 def test_stats_reports_codec_and_counts():
+    """stats() reports the value-codec invocation counts and the take
+    count."""
     app = DictApp()
-    store = CheckpointStore(codec="schema")
+    store = CheckpointStore()
     store.take(app, before_seq=1, now=1.0)
     stats = store.stats()
-    assert stats["codec"] == "schema"
     assert stats["value_encodes"] == len(app.get_state())
     assert stats["value_decodes"] == 0
     assert stats["taken"] == 1
 
 
-def test_full_promotion_on_eviction_reuses_buffers():
-    """Evicting a chain base folds deltas at the buffer level: no
-    value decode, and one re-encode only for keys the promotion has to
-    rewrite -- here, none."""
+def test_eviction_reuses_buffers():
+    """Eviction drops the oldest entry and nothing else: no value
+    decode, no re-encode, and the survivors still materialise."""
     app = DictApp()
-    store = CheckpointStore(codec="schema", keep=2, full_every=10)
+    store = CheckpointStore(keep=2)
     for seq in range(1, 6):
         app.state["count"] = seq
         store.take(app, before_seq=seq, now=float(seq))
-    encodes_after_takes = 5 * len(app.get_state())
-    assert store.value_encodes == encodes_after_takes
+    assert store.value_encodes == 5 * len(app.get_state())
     assert store.value_decodes == 0
-    # The surviving head must still materialise correctly.
-    head = store.history()[0]
-    assert head.kind == FULL
-    assert pickle.loads(store.materialize(head))["count"] in range(1, 6)
+    head, tail = store.history()
+    assert head.image["macs"] is tail.image["macs"]
+    assert pickle.loads(store.materialize(head))["count"] == 4

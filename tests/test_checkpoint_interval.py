@@ -19,12 +19,7 @@ import pickle
 import pytest
 
 from repro.apps import LearningSwitch
-from repro.core.crashpad.checkpoint import (
-    DEDUP,
-    DELTA,
-    FULL,
-    CheckpointStore,
-)
+from repro.core.crashpad.checkpoint import CheckpointStore
 from repro.core.crashpad.interval import CheckpointPolicy
 from repro.core.runtime import LegoSDNRuntime
 from repro.network.net import Network
@@ -183,29 +178,33 @@ class DictApp:
 class TestDirtyKeyStore:
     def test_clean_keys_skip_re_encoding(self):
         app = DictApp()
-        store = CheckpointStore(full_every=8, use_versions=True)
-        store.take(app, before_seq=1, now=0.0)
+        store = CheckpointStore()
+        first = store.take(app, before_seq=1, now=0.0)
         baseline = store.value_encodes
         app.touch("a", 1)  # "b" untouched
         cp = store.take(app, before_seq=2, now=1.0)
-        assert cp.kind == DELTA
+        assert cp.image["b"] is first.image["b"]
+        assert cp.image["a"] != first.image["a"]
         assert store.value_encodes == baseline + 1
         assert store.encodes_skipped >= 1
 
     def test_version_identity_dedups_without_hashing_state(self):
         app = DictApp()
-        store = CheckpointStore(full_every=8, use_versions=True)
-        store.take(app, before_seq=1, now=0.0)
+        store = CheckpointStore()
+        first = store.take(app, before_seq=1, now=0.0)
+        written = store.bytes_written
+        encodes = store.value_encodes
         repeat = store.take(app, before_seq=2, now=1.0)
-        assert repeat.kind == DEDUP
+        assert repeat.image is first.image
+        assert store.bytes_written == written
+        assert store.value_encodes == encodes
         assert store.dedup_hits == 1
 
     def test_stale_version_baseline_is_conservative(self):
         # drop_pending() invalidates the baseline; the next take must
         # re-encode everything rather than trust stale versions.
         app = DictApp()
-        store = CheckpointStore(full_every=8, use_versions=True,
-                                deferred=True)
+        store = CheckpointStore(deferred=True)
         store.take(app, before_seq=1, now=0.0)
         app.touch("a", 1)
         cp = store.take(app, before_seq=2, now=1.0, defer=True)
@@ -219,8 +218,7 @@ class TestDirtyKeyStore:
 
     def test_deferred_roundtrip_through_drain(self):
         app = DictApp()
-        store = CheckpointStore(full_every=8, use_versions=True,
-                                deferred=True)
+        store = CheckpointStore(deferred=True)
         store.take(app, before_seq=1, now=0.0)
         references = []
         for seq in range(2, 6):
@@ -238,8 +236,7 @@ class TestDirtyKeyStore:
 
     def test_flush_is_a_durability_barrier(self):
         app = DictApp()
-        store = CheckpointStore(full_every=8, use_versions=True,
-                                deferred=True)
+        store = CheckpointStore(deferred=True)
         store.take(app, before_seq=1, now=0.0)
         app.touch("a", 1)
         store.take(app, before_seq=2, now=1.0, defer=True)

@@ -1,6 +1,6 @@
 """Property tests for the schema-interned packed wire codec.
 
-Three contracts, checked with hypothesis over every RPC frame type:
+Four contracts, checked with hypothesis over every RPC frame type:
 
 1. **round trip** -- decode(encode(frame)) == frame under the packed
    codec, including FrameBatch nesting and OpenFlow payloads;
@@ -9,12 +9,16 @@ Three contracts, checked with hypothesis over every RPC frame type:
    semantics), and the packed form is never larger on real frames;
 3. **trailing-default compatibility** -- a packed frame written by an
    older peer that doesn't know a trailing defaulted field (e.g.
-   ``trace_id``) still decodes, with the default filled in.
+   ``trace_id``) still decodes, with the default filled in;
+4. **error contract** -- malformed bytes (arbitrary, or one byte of a
+   real frame mutated) raise :class:`SerializationError` and nothing
+   else.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +33,9 @@ from repro.openflow.match import Match
 from repro.openflow.serialization import (
     _schema_fields,
     _schema_ids,
+    _T_ENUM_ID,
     _T_SCHEMA,
+    SerializationError,
     _Writer,
     _write_value,
     decode_message,
@@ -254,3 +260,59 @@ def test_packed_is_smaller_on_real_frames():
 def test_unknown_codec_rejected():
     with pytest.raises(ValueError):
         encode_value(1, codec="msgpack")
+
+
+# -- error contract -----------------------------------------------------
+
+
+def _decodes_or_rejects(decode, data: bytes) -> None:
+    """``decode(data)`` either succeeds or raises SerializationError;
+    any other exception propagates and fails the test."""
+    try:
+        decode(data)
+    except SerializationError:
+        pass
+
+
+def test_random_bytes_raise_only_serialization_error():
+    rng = random.Random(0)
+    for _ in range(20_000):
+        data = bytes(rng.getrandbits(8) for _ in range(rng.randint(0, 64)))
+        _decodes_or_rejects(decode_value, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=256))
+def test_arbitrary_bytes_raise_only_serialization_error(data):
+    _decodes_or_rejects(decode_value, data)
+    _decodes_or_rejects(rpc.decode_frame, data)
+
+
+@pytest.mark.parametrize("frame_type", [*FRAME_STRATEGIES, rpc.FrameBatch],
+                         ids=lambda cls: cls.__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_frames_raise_only_serialization_error(frame_type, data):
+    strategy = (st.builds(rpc.FrameBatch,
+                          frames=st.lists(flat_frames, max_size=3).map(tuple))
+                if frame_type is rpc.FrameBatch
+                else FRAME_STRATEGIES[frame_type])
+    frame = data.draw(strategy)
+    codec = data.draw(st.sampled_from(["packed", "named"]))
+    wire = bytearray(encode_value(frame, codec=codec))
+    pos = data.draw(st.integers(min_value=0, max_value=len(wire) - 1))
+    wire[pos] = data.draw(st.integers(min_value=0, max_value=255)
+                          .filter(lambda b: b != wire[pos]))
+    _decodes_or_rejects(rpc.decode_frame, bytes(wire))
+
+
+@pytest.mark.parametrize("tag", [_T_SCHEMA, _T_ENUM_ID])
+def test_negative_ids_are_rejected(tag):
+    """Zigzag varints can carry negative ids; they must not index the
+    registries from the end (a wrong class, silently)."""
+    w = _Writer()
+    w.u8(tag)
+    w.varint(-1)
+    w.varint(0)
+    with pytest.raises(SerializationError):
+        decode_value(w.getvalue())

@@ -1,10 +1,13 @@
 """Tests for the controller replication layer: log shipping, lease
 failover, epoch fencing, orphan rollback, and stub adoption."""
 
+import inspect
+
 import pytest
 
-from repro.apps import LearningSwitch
+from repro.apps import Hub, LearningSwitch
 from repro.core.runtime import LegoSDNRuntime
+from repro.faults import ChaosProfile
 from repro.network.net import Network
 from repro.network.topology import linear_topology
 from repro.openflow.actions import Output
@@ -94,6 +97,41 @@ class TestFailover:
         assert replicas.replica("r0").role is ReplicaRole.DEAD
         # Detection is lease-bounded.
         assert fo.duration <= 0.2 + 3 * replicas.check_interval
+
+    def test_failover_keeps_every_runtime_setting(self):
+        """The promoted primary's runtime is rebuilt with *every*
+        constructor argument of the old one -- a knob added later
+        cannot be silently dropped at failover."""
+        def settings(rt):
+            delegated = {
+                "policy_table": rt.crashpad.policy_table,
+                "byzantine_check": rt.proxy.byzantine_check,
+                "shutdown_on_critical": rt.proxy.shutdown_on_critical,
+                "parallel_lanes": rt.proxy.parallel_lanes,
+            }
+            params = inspect.signature(LegoSDNRuntime.__init__).parameters
+            return {name: (delegated[name] if name in delegated
+                           else getattr(rt, name))
+                    for name in params if name not in ("self", "controller")}
+
+        chaos = ChaosProfile(seed=3, jitter=1e-4)
+        net = Network(linear_topology(2, 1), seed=0)
+        runtime = LegoSDNRuntime(net.controller, chaos=chaos,
+                                 channel_retry_budget=3)
+        replicas = ReplicaSet(net, runtime, backups=1, lease_timeout=0.2)
+        runtime.launch_app(LearningSwitch())
+        net.start()
+        net.run_for(1.0)
+        replicas.crash_primary()
+        net.run_for(1.0)
+        promoted = replicas.primary.runtime
+        assert promoted is not runtime
+        assert settings(promoted) == settings(runtime)
+        # Apps launched after the failover get the same channel setup.
+        promoted.launch_app(Hub())
+        channel = promoted.channels["hub"]
+        assert channel.chaos is chaos
+        assert channel.retry_budget == 3
 
     def test_second_failover_promotes_next_backup(self):
         net, runtime, replicas = build(backups=2, lease_timeout=0.2)
