@@ -36,7 +36,6 @@ from repro.network.net import Network
 from repro.network.packet import reset_packet_ids, tcp_packet
 from repro.network.topology import tree_topology
 from repro.openflow.messages import PacketIn, reset_xid_counter
-from repro.openflow.serialization import wire_codec
 from repro.shard import ShardCoordinator
 
 #: Event-latency span the histogram tracks (one per app event).
@@ -119,12 +118,6 @@ PRESETS: Dict[str, BenchScenario] = {
         ceiling_mb=1792.0),
 }
 
-#: Wire codecs the A/B comparison flips between: packed schema ids vs
-#: named fields (checkpoint images use the packed state-value codec
-#: under both).
-CODECS = ("packed", "named")
-
-
 def default_memory_probe() -> float:
     """Peak RSS of this process in MB (ru_maxrss: KB on Linux,
     bytes on macOS)."""
@@ -141,7 +134,6 @@ class BenchReport:
     """One run's outcome: deterministic results + local environment."""
 
     scenario: Dict[str, object]
-    codec: str
     results: Dict[str, object]
     environment: Dict[str, object] = field(default_factory=dict)
     aborted: Optional[str] = None
@@ -154,7 +146,6 @@ class BenchReport:
         """Everything two identically-seeded runs must agree on."""
         return {
             "scenario": self.scenario,
-            "codec": self.codec,
             "results": self.results,
             "aborted": self.aborted,
         }
@@ -228,13 +219,11 @@ def _crash_totals(coordinator) -> Tuple[int, int]:
     return crashes, recoveries
 
 
-def run_scenario(scenario: BenchScenario, codec: str = "packed",
+def run_scenario(scenario: BenchScenario,
                  memory_probe: Optional[Callable[[], float]] = None,
                  log: Optional[Callable[[str], None]] = None,
                  ) -> BenchReport:
-    """Run one scenario under one codec; return its report."""
-    if codec not in CODECS:
-        raise ValueError(f"unknown codec {codec!r} (one of {CODECS})")
+    """Run one scenario; return its report."""
     probe = memory_probe or default_memory_probe
     emit = log or (lambda line: None)
     wall_start = time.time()
@@ -245,130 +234,128 @@ def run_scenario(scenario: BenchScenario, codec: str = "packed",
 
     runtime_kwargs = {"checkpoint_interval": scenario.checkpoint_interval}
 
-    with wire_codec("packed" if codec == "packed" else "named"):
-        topo = tree_topology(scenario.tree_depth, scenario.tree_fanout,
-                             hosts_per_leaf=1)
-        net = Network(topo, seed=scenario.seed)
-        coordinator = ShardCoordinator(
-            net, shards=scenario.shards,
-            apps=(_CrashMarkerSwitch if scenario.crash_at > 0
-                  else LearningSwitch,),
-            backups=scenario.backups,
-            service_time=scenario.service_time,
-            telemetry_enabled=True,
-            seed=scenario.seed,
-            runtime_kwargs=runtime_kwargs,
-            telemetry_kwargs={"metrics_max_samples": 4096,
-                              "max_spans": 60_000},
-        )
-        coordinator.start()
-        universe = HostUniverse(scenario.hosts, sorted(net.switches),
-                                seed=scenario.seed, skew=scenario.skew)
-        mix = TrafficMix(universe, seed=scenario.seed + 1,
-                         hot_fraction=scenario.hot_fraction,
-                         hot_set=scenario.hot_set,
-                         churn_per_sec=scenario.churn_per_sec)
-        generator = LoadGenerator(net.sim, coordinator.owner_controller,
-                                  mix, rate=scenario.rate,
-                                  tick=scenario.tick)
-        telemetries = [coordinator.telemetry]
-        for handle in coordinator.shards.values():
-            telemetries.extend(r.telemetry
-                               for r in handle.replicas.replicas)
+    topo = tree_topology(scenario.tree_depth, scenario.tree_fanout,
+                         hosts_per_leaf=1)
+    net = Network(topo, seed=scenario.seed)
+    coordinator = ShardCoordinator(
+        net, shards=scenario.shards,
+        apps=(_CrashMarkerSwitch if scenario.crash_at > 0
+              else LearningSwitch,),
+        backups=scenario.backups,
+        service_time=scenario.service_time,
+        telemetry_enabled=True,
+        seed=scenario.seed,
+        runtime_kwargs=runtime_kwargs,
+        telemetry_kwargs={"metrics_max_samples": 4096,
+                          "max_spans": 60_000},
+    )
+    coordinator.start()
+    universe = HostUniverse(scenario.hosts, sorted(net.switches),
+                            seed=scenario.seed, skew=scenario.skew)
+    mix = TrafficMix(universe, seed=scenario.seed + 1,
+                     hot_fraction=scenario.hot_fraction,
+                     hot_set=scenario.hot_set,
+                     churn_per_sec=scenario.churn_per_sec)
+    generator = LoadGenerator(net.sim, coordinator.owner_controller,
+                              mix, rate=scenario.rate,
+                              tick=scenario.tick)
+    telemetries = [coordinator.telemetry]
+    for handle in coordinator.shards.values():
+        telemetries.extend(r.telemetry
+                           for r in handle.replicas.replicas)
 
-        aborted: Optional[str] = None
-        hist = StreamingHistogram()
+    aborted: Optional[str] = None
+    hist = StreamingHistogram()
 
-        def run_chunks(total: float, hist_arg) -> float:
-            """Run ``total`` sim seconds in drain/probe chunks;
-            returns how much actually ran before any abort."""
-            nonlocal aborted
-            ran = 0.0
-            while ran < total - 1e-9:
-                step = min(scenario.chunk_seconds, total - ran)
-                net.run_for(step)
-                ran += step
-                _drain_spans(telemetries, hist_arg)
-                used = probe()
-                if used > scenario.ceiling_mb:
-                    aborted = "memory-ceiling"
-                    generator.stop()
-                    emit(f"  ! memory ceiling: {used:.0f} MB > "
-                         f"{scenario.ceiling_mb:.0f} MB, aborting")
-                    return ran
-            return ran
+    def run_chunks(total: float, hist_arg) -> float:
+        """Run ``total`` sim seconds in drain/probe chunks;
+        returns how much actually ran before any abort."""
+        nonlocal aborted
+        ran = 0.0
+        while ran < total - 1e-9:
+            step = min(scenario.chunk_seconds, total - ran)
+            net.run_for(step)
+            ran += step
+            _drain_spans(telemetries, hist_arg)
+            used = probe()
+            if used > scenario.ceiling_mb:
+                aborted = "memory-ceiling"
+                generator.stop()
+                emit(f"  ! memory ceiling: {used:.0f} MB > "
+                     f"{scenario.ceiling_mb:.0f} MB, aborting")
+                return ran
+        return ran
 
-        # Settle discovery, then warm up with injection running; the
-        # warmup's spans and byte counts are discarded.
-        net.run_for(0.5)
-        generator.start()
-        run_chunks(scenario.warmup_seconds, hist_arg=None)
-        _drain_spans(telemetries, None)
-        warm_offered = generator.events_offered
-        warm_ingested = coordinator.total_events_ingested()
-        warm_sent, warm_recv = _bytes_counters(telemetries)
+    # Settle discovery, then warm up with injection running; the
+    # warmup's spans and byte counts are discarded.
+    net.run_for(0.5)
+    generator.start()
+    run_chunks(scenario.warmup_seconds, hist_arg=None)
+    _drain_spans(telemetries, None)
+    warm_offered = generator.events_offered
+    warm_ingested = coordinator.total_events_ingested()
+    warm_sent, warm_recv = _bytes_counters(telemetries)
 
-        def inject_crash_marker() -> None:
-            """One poisoned PacketIn through the normal punt path: the
-            hosting app crashes and Crash-Pad recovers it mid-run."""
-            src, dst = mix.sample()
-            controller = coordinator.owner_controller(src.dpid)
-            if controller is None:
-                return
-            packet = tcp_packet(src.mac, dst.mac, src.ip, dst.ip,
-                                src_port=10000 + src.idx % 5000,
-                                dst_port=80, size=64,
-                                payload=CRASH_MARKER)
-            controller.handle_switch_message(
-                src.dpid,
-                PacketIn(dpid=src.dpid, in_port=src.port, packet=packet))
+    def inject_crash_marker() -> None:
+        """One poisoned PacketIn through the normal punt path: the
+        hosting app crashes and Crash-Pad recovers it mid-run."""
+        src, dst = mix.sample()
+        controller = coordinator.owner_controller(src.dpid)
+        if controller is None:
+            return
+        packet = tcp_packet(src.mac, dst.mac, src.ip, dst.ip,
+                            src_port=10000 + src.idx % 5000,
+                            dst_port=80, size=64,
+                            payload=CRASH_MARKER)
+        controller.handle_switch_message(
+            src.dpid,
+            PacketIn(dpid=src.dpid, in_port=src.port, packet=packet))
 
-        measured = 0.0
-        if aborted is None:
-            emit(f"  warmup done ({scenario.warmup_seconds:.0f}s sim); "
-                 f"measuring {scenario.sim_seconds:.0f}s sim")
-            if scenario.crash_at > 0:
-                net.sim.schedule(scenario.crash_at, inject_crash_marker)
-            measured = run_chunks(scenario.sim_seconds, hist)
-        generator.stop()
-        _drain_spans(telemetries, hist if measured > 0 else None)
+    measured = 0.0
+    if aborted is None:
+        emit(f"  warmup done ({scenario.warmup_seconds:.0f}s sim); "
+             f"measuring {scenario.sim_seconds:.0f}s sim")
+        if scenario.crash_at > 0:
+            net.sim.schedule(scenario.crash_at, inject_crash_marker)
+        measured = run_chunks(scenario.sim_seconds, hist)
+    generator.stop()
+    _drain_spans(telemetries, hist if measured > 0 else None)
 
-        sent, recv = _bytes_counters(telemetries)
-        bytes_sent = sent - warm_sent
-        bytes_recv = recv - warm_recv
-        events = hist.count
-        latency = {
-            key: (round(value * 1000.0, 6)
-                  if key not in ("count",) else value)
-            for key, value in hist.summary().items()
-        }
-        spans_dropped = sum(getattr(t.tracer, "dropped", 0)
-                            for t in telemetries if t.enabled)
-        results: Dict[str, object] = {
-            "sim_seconds_measured": round(measured, 6),
-            "events_offered": generator.events_offered - warm_offered,
-            "events_dropped": generator.events_dropped,
-            "events_ingested": (coordinator.total_events_ingested()
-                                - warm_ingested),
-            "events_completed": events,
-            "events_per_sim_sec": (round(events / measured, 3)
-                                   if measured > 0 else 0.0),
-            "latency_ms": latency,
-            "bytes_sent": bytes_sent,
-            "bytes_recv": bytes_recv,
-            "bytes_per_event": (round(bytes_sent / events, 2)
-                                if events else None),
-            "hosts_churned": mix.churned,
-            "spans_dropped": spans_dropped,
-            "checkpoint": _checkpoint_stats(coordinator),
-        }
-        crashes, recoveries = _crash_totals(coordinator)
-        results["crashes"] = crashes
-        results["recoveries"] = recoveries
+    sent, recv = _bytes_counters(telemetries)
+    bytes_sent = sent - warm_sent
+    bytes_recv = recv - warm_recv
+    events = hist.count
+    latency = {
+        key: (round(value * 1000.0, 6)
+              if key not in ("count",) else value)
+        for key, value in hist.summary().items()
+    }
+    spans_dropped = sum(getattr(t.tracer, "dropped", 0)
+                        for t in telemetries if t.enabled)
+    results: Dict[str, object] = {
+        "sim_seconds_measured": round(measured, 6),
+        "events_offered": generator.events_offered - warm_offered,
+        "events_dropped": generator.events_dropped,
+        "events_ingested": (coordinator.total_events_ingested()
+                            - warm_ingested),
+        "events_completed": events,
+        "events_per_sim_sec": (round(events / measured, 3)
+                               if measured > 0 else 0.0),
+        "latency_ms": latency,
+        "bytes_sent": bytes_sent,
+        "bytes_recv": bytes_recv,
+        "bytes_per_event": (round(bytes_sent / events, 2)
+                            if events else None),
+        "hosts_churned": mix.churned,
+        "spans_dropped": spans_dropped,
+        "checkpoint": _checkpoint_stats(coordinator),
+    }
+    crashes, recoveries = _crash_totals(coordinator)
+    results["crashes"] = crashes
+    results["recoveries"] = recoveries
 
     report = BenchReport(
         scenario=dataclasses.asdict(scenario),
-        codec=codec,
         results=results,
         aborted=aborted,
         environment={

@@ -45,7 +45,6 @@ from repro.openflow.messages import (
 )
 from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.inversion import CounterRecord, InversionResult, invert
-from repro.openflow.serialization import decode_message, encode_message
 
 __all__ = [
     "Action",
@@ -83,7 +82,5 @@ __all__ = [
     "SetIpDst",
     "SetIpSrc",
     "ToController",
-    "decode_message",
-    "encode_message",
     "invert",
 ]

@@ -1,51 +1,29 @@
-"""Byte-level wire format for OpenFlow messages.
+"""Byte-level wire format for values crossing the AppVisor boundary.
 
 The AppVisor proxy and stub live in different fault domains and talk
 over a (simulated) UDP channel, so every message crossing the boundary
 is serialised to bytes and parsed back (§3.1: "serialization and
 de-serialization of messages ... introduce additional latency into the
-control-loop").  This module provides that codec.
+control-loop").  This module provides that codec.  OpenFlow messages
+reach the wire inside RPC frames (:mod:`repro.core.appvisor.rpc`),
+encoded like any other value by :func:`encode_value`.  Encoding real
+bytes matters because the E2 latency experiment charges the RPC
+channel per encoded byte.
 
-The format is a compact self-describing binary encoding (not the exact
-OpenFlow 1.0 wire layout -- the simulator's packets carry symbolic
-addresses -- but with the same structure: a fixed header carrying the
-message type and xid, followed by a typed body).  Encoding real bytes
-matters because the E2 latency experiment charges the RPC channel per
-encoded byte.
-
-Layout::
-
-    header:  type_id (u8) | xid (u32) | body_len (u32)
-    body:    field_count (u8), then per field: name (str) | value (tagged)
-
-Tagged values: a tag byte followed by a type-specific payload.  Lists,
-tuples, dicts, sets, enums, and registered dataclasses (Match, every
-Action, packet classes, stats entries) nest recursively.
-
-Two codecs share this layout:
-
-- **named** (the legacy format): every dataclass value spells out its
-  class name and each field name as a length-prefixed string, ints are
-  fixed 8 bytes.  Self-describing but wasteful -- a ``Packet`` spends
-  more bytes on the strings ``"src_mac"``, ``"dst_mac"``, ... than on
-  the values.
-- **packed** (the default): class and enum names are interned once at
-  registration into small integer *schema ids*; frames carry
-  ``schema_id + field count + packed values``, field order is the
-  dataclass declaration order on both sides, and ints are zigzag
-  LEB128 varints.  Decoding tolerates *trailing* missing fields (they
-  take their dataclass defaults), so adding a defaulted field keeps
-  old captures readable.
-
-The active codec is a module-level switch (:func:`set_wire_codec`);
-the decoder accepts both formats unconditionally -- packed message
-frames flag themselves with the high bit of the header type id -- so
-mixed-codec runs (A/B benchmarks) interoperate.
+A value is a tag byte followed by a type-specific payload.  Lists,
+tuples, dicts, sets, enums and registered dataclasses (Match, every
+Action, packet classes, stats entries, messages, RPC frames) nest
+recursively.  Class and enum names are interned once at registration
+into small integer *schema ids*, so a dataclass travels as
+``schema_id + field count + values``, in declaration order on both
+sides, and ints are zigzag LEB128 varints of at most
+``_VARINT_MAX_BYTES`` bytes.  Decoding tolerates *trailing* missing
+fields (they take their dataclass defaults), so adding a defaulted
+field keeps old captures readable.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import enum
 import pickle
@@ -58,35 +36,32 @@ from repro.openflow.match import Match
 
 # -- value tags -------------------------------------------------------
 
+# Tags 2, 8 and 9 belonged to a retired field-named format; they are
+# not reused, so an old capture fails loudly instead of misparsing.
 _T_NONE = 0
 _T_BOOL = 1
-_T_INT = 2
 _T_FLOAT = 3
 _T_STR = 4
 _T_BYTES = 5
 _T_LIST = 6
 _T_TUPLE = 7
-_T_DATACLASS = 8
-_T_ENUM = 9
 _T_DICT = 10
 _T_SET = 11
 _T_FROZENSET = 12
-#: Packed dataclass: varint schema id + u8 field count + values in
+#: Dataclass: varint schema id + u8 field count + values in
 #: declaration order (no field names on the wire).
 _T_SCHEMA = 13
-#: Packed enum: varint enum id + varint member value.
+#: Enum: varint enum id + varint member value.
 _T_ENUM_ID = 14
-#: Zigzag LEB128 integer (1 byte for small ints vs 8 for ``_T_INT``).
+#: Zigzag LEB128 integer (1 byte for small ints).
 _T_VARINT = 15
 
-_HEADER = struct.Struct("!BII")
-#: High bit of the header type id: body is packed (positional) format.
-_PACKED_FLAG = 0x80
+#: Longest varint either side accepts: 11 bytes carry 77 bits of
+#: zigzag payload, so ints in [-2**76, 2**76).  The writer refuses
+#: larger ints rather than emit bytes the reader would reject.
+_VARINT_MAX_BYTES = 11
+_VARINT_BITS = 7 * _VARINT_MAX_BYTES
 
-#: Registered dataclasses encodable as values (name -> class).
-_dataclass_registry: Dict[str, type] = {}
-#: Registered enums (name -> class).
-_enum_registry: Dict[str, Type[enum.Enum]] = {}
 #: Schema interning: class name -> small integer id, assigned in
 #: registration order (import order is identical on both ends of the
 #: simulated wire, so ids agree without a handshake).
@@ -105,12 +80,12 @@ def register_dataclass(cls: type) -> type:
     """Register a dataclass so it can cross the RPC boundary.
 
     Used by the packet model and any custom app payloads.  Returns the
-    class so it can be used as a decorator.  Registration also interns
-    the class into the packed codec's schema table.
+    class so it can be used as a decorator.  Registration interns the
+    class into the schema table; the first class registered under a
+    name keeps its id.
     """
     if not dataclasses.is_dataclass(cls):
         raise SerializationError(f"{cls.__name__} is not a dataclass")
-    _dataclass_registry[cls.__name__] = cls
     if cls.__name__ not in _schema_ids:
         _schema_ids[cls.__name__] = len(_schema_classes)
         _schema_classes.append(cls)
@@ -119,8 +94,7 @@ def register_dataclass(cls: type) -> type:
 
 
 def register_enum(cls: Type[enum.Enum]) -> Type[enum.Enum]:
-    """Register an enum for wire transport (also interns an enum id)."""
-    _enum_registry[cls.__name__] = cls
+    """Register an enum for wire transport (interns an enum id)."""
     if cls.__name__ not in _enum_ids:
         _enum_ids[cls.__name__] = len(_enum_classes)
         _enum_classes.append(cls)
@@ -130,39 +104,6 @@ def register_enum(cls: Type[enum.Enum]) -> Type[enum.Enum]:
 def schema_table() -> Dict[str, int]:
     """The interned schema ids (class name -> id), for diagnostics."""
     return dict(_schema_ids)
-
-
-# -- codec switch -----------------------------------------------------
-
-_VALID_CODECS = ("packed", "named")
-_wire_codec = "packed"
-
-
-def set_wire_codec(name: str) -> None:
-    """Select the encoder: ``"packed"`` (default) or ``"named"``.
-
-    Decoding always accepts both formats; this only controls what new
-    frames look like, so A/B comparisons can flip it per run.
-    """
-    global _wire_codec
-    if name not in _VALID_CODECS:
-        raise ValueError(f"unknown wire codec: {name!r}")
-    _wire_codec = name
-
-
-def get_wire_codec() -> str:
-    return _wire_codec
-
-
-@contextlib.contextmanager
-def wire_codec(name: str):
-    """Context manager: temporarily switch the wire codec."""
-    prev = get_wire_codec()
-    set_wire_codec(name)
-    try:
-        yield
-    finally:
-        set_wire_codec(prev)
 
 
 class _Writer:
@@ -183,6 +124,8 @@ class _Writer:
     def varint(self, v: int):
         # Zigzag so small negatives stay small, then LEB128.
         z = v * 2 if v >= 0 else -v * 2 - 1
+        if z >> _VARINT_BITS:
+            raise SerializationError(f"int too large for a varint: {v}")
         out = bytearray()
         while z > 0x7F:
             out.append((z & 0x7F) | 0x80)
@@ -231,11 +174,10 @@ class _Reader:
             b = self._take(1)[0]
             z |= (b & 0x7F) << shift
             if not b & 0x80:
-                break
+                return z >> 1 if z % 2 == 0 else -(z >> 1) - 1
             shift += 7
-            if shift > 70:
+            if shift >= _VARINT_BITS:
                 raise SerializationError("varint too long")
-        return z >> 1 if z % 2 == 0 else -(z >> 1) - 1
 
     def raw(self) -> bytes:
         (n,) = struct.unpack("!I", self._take(4))
@@ -243,9 +185,6 @@ class _Reader:
 
     def string(self) -> str:
         return self.raw().decode("utf-8")
-
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._data)
 
 
 def _sorted_members(value):
@@ -255,7 +194,7 @@ def _sorted_members(value):
         return sorted(value, key=repr)
 
 
-def _write_value(w: _Writer, value, packed: bool) -> None:
+def _write_value(w: _Writer, value) -> None:
     if value is None:
         w.u8(_T_NONE)
     elif isinstance(value, bool):
@@ -263,21 +202,14 @@ def _write_value(w: _Writer, value, packed: bool) -> None:
         w.u8(1 if value else 0)
     elif isinstance(value, enum.Enum):
         name = type(value).__name__
-        if packed and name in _enum_ids:
-            w.u8(_T_ENUM_ID)
-            w.varint(_enum_ids[name])
-            w.varint(int(value.value))
-        else:
-            w.u8(_T_ENUM)
-            w.string(name)
-            w.i64(int(value.value))
+        if name not in _enum_ids:
+            raise SerializationError(f"unregistered enum on wire: {name}")
+        w.u8(_T_ENUM_ID)
+        w.varint(_enum_ids[name])
+        w.varint(int(value.value))
     elif isinstance(value, int):
-        if packed:
-            w.u8(_T_VARINT)
-            w.varint(value)
-        else:
-            w.u8(_T_INT)
-            w.i64(value)
+        w.u8(_T_VARINT)
+        w.varint(value)
     elif isinstance(value, float):
         w.u8(_T_FLOAT)
         w.f64(value)
@@ -291,48 +223,39 @@ def _write_value(w: _Writer, value, packed: bool) -> None:
         w.u8(_T_LIST)
         w.i64(len(value))
         for item in value:
-            _write_value(w, item, packed)
+            _write_value(w, item)
     elif isinstance(value, tuple):
         w.u8(_T_TUPLE)
         w.i64(len(value))
         for item in value:
-            _write_value(w, item, packed)
+            _write_value(w, item)
     elif isinstance(value, dict):
         w.u8(_T_DICT)
         w.varint(len(value))
         for k, v in value.items():
-            _write_value(w, k, packed)
-            _write_value(w, v, packed)
+            _write_value(w, k)
+            _write_value(w, v)
     elif isinstance(value, frozenset):
         w.u8(_T_FROZENSET)
         w.varint(len(value))
         for item in _sorted_members(value):
-            _write_value(w, item, packed)
+            _write_value(w, item)
     elif isinstance(value, set):
         w.u8(_T_SET)
         w.varint(len(value))
         for item in _sorted_members(value):
-            _write_value(w, item, packed)
+            _write_value(w, item)
     elif dataclasses.is_dataclass(value):
         name = type(value).__name__
-        if name not in _dataclass_registry:
+        if name not in _schema_ids:
             raise SerializationError(f"unregistered dataclass on wire: {name}")
-        if packed:
-            sid = _schema_ids[name]
-            w.u8(_T_SCHEMA)
-            w.varint(sid)
-            flds = _schema_fields[sid]
-            w.u8(len(flds))
-            for f in flds:
-                _write_value(w, getattr(value, f.name), packed)
-        else:
-            w.u8(_T_DATACLASS)
-            w.string(name)
-            flds = dataclasses.fields(value)
-            w.u8(len(flds))
-            for f in flds:
-                w.string(f.name)
-                _write_value(w, getattr(value, f.name), packed)
+        sid = _schema_ids[name]
+        w.u8(_T_SCHEMA)
+        w.varint(sid)
+        flds = _schema_fields[sid]
+        w.u8(len(flds))
+        for f in flds:
+            _write_value(w, getattr(value, f.name))
     else:
         raise SerializationError(f"unserialisable value: {value!r}")
 
@@ -343,19 +266,12 @@ def _read_value(r: _Reader):
         return None
     if tag == _T_BOOL:
         return bool(r.u8())
-    if tag == _T_ENUM:
-        name = r.string()
-        value = r.i64()
-        cls = _enum_registry.get(name)
-        return cls(value) if cls is not None else value
     if tag == _T_ENUM_ID:
         eid = r.varint()
         value = r.varint()
         if not 0 <= eid < len(_enum_classes):
             raise SerializationError(f"unknown enum id on wire: {eid}")
         return _enum_classes[eid](value)
-    if tag == _T_INT:
-        return r.i64()
     if tag == _T_VARINT:
         return r.varint()
     if tag == _T_FLOAT:
@@ -379,16 +295,6 @@ def _read_value(r: _Reader):
         return {_read_value(r) for _ in range(r.varint())}
     if tag == _T_FROZENSET:
         return frozenset(_read_value(r) for _ in range(r.varint()))
-    if tag == _T_DATACLASS:
-        name = r.string()
-        cls = _dataclass_registry.get(name)
-        if cls is None:
-            raise SerializationError(f"unknown dataclass on wire: {name}")
-        values = {}
-        for _ in range(r.u8()):
-            fname = r.string()
-            values[fname] = _read_value(r)
-        return cls(**values)
     if tag == _T_SCHEMA:
         sid = r.varint()
         if not 0 <= sid < len(_schema_classes):
@@ -407,8 +313,10 @@ def _read_value(r: _Reader):
     raise SerializationError(f"unknown value tag: {tag}")
 
 
-# -- message registry -------------------------------------------------
+# -- protocol registrations --------------------------------------------
 
+#: Every OpenFlow message class.  Registration order fixes the schema
+#: ids, so this list only ever grows at the end.
 _MESSAGE_TYPES = (
     _messages.Hello,
     _messages.EchoRequest,
@@ -426,15 +334,12 @@ _MESSAGE_TYPES = (
     _messages.FlowRemoved,
     _messages.PortStatus,
 )
-_type_to_id = {cls: i for i, cls in enumerate(_MESSAGE_TYPES)}
-_id_to_type = dict(enumerate(_MESSAGE_TYPES))
 
 # Register the protocol's own dataclasses and enums.
 register_dataclass(Match)
 register_dataclass(_messages.FlowStatsEntry)
 register_dataclass(_messages.PortStatsEntry)
-# Messages themselves are registered as generic dataclasses too, so
-# they can ride inside RPC frame payloads (see repro.core.appvisor.rpc).
+# Messages ride inside RPC frame payloads (see repro.core.appvisor.rpc).
 for _msg_cls in _MESSAGE_TYPES:
     register_dataclass(_msg_cls)
 for _action_cls in (
@@ -458,78 +363,15 @@ for _enum_cls in (
     register_enum(_enum_cls)
 
 
-def encode_message(msg: _messages.Message) -> bytes:
-    """Serialise ``msg`` to bytes (header + typed body)."""
-    cls = type(msg)
-    if cls not in _type_to_id:
-        raise SerializationError(f"unregistered message type: {cls.__name__}")
-    packed = _wire_codec == "packed"
+def encode_value(value) -> bytes:
+    """Serialise any supported value (the RPC payload codec)."""
     w = _Writer()
-    flds = [f for f in dataclasses.fields(msg) if f.name != "xid"]
-    w.u8(len(flds))
-    for f in flds:
-        if not packed:
-            w.string(f.name)
-        _write_value(w, getattr(msg, f.name), packed)
-    body = w.getvalue()
-    type_id = _type_to_id[cls] | (_PACKED_FLAG if packed else 0)
-    return _HEADER.pack(type_id, msg.xid & 0xFFFFFFFF, len(body)) + body
-
-
-def decode_message(data: bytes) -> _messages.Message:
-    """Parse one message from ``data`` (must contain exactly one frame)."""
-    if len(data) < _HEADER.size:
-        raise SerializationError("buffer shorter than header")
-    type_id, xid, body_len = _HEADER.unpack_from(data)
-    packed = bool(type_id & _PACKED_FLAG)
-    type_id &= ~_PACKED_FLAG
-    body = data[_HEADER.size : _HEADER.size + body_len]
-    if len(body) != body_len:
-        raise SerializationError("truncated body")
-    cls = _id_to_type.get(type_id)
-    if cls is None:
-        raise SerializationError(f"unknown message type id: {type_id}")
-    r = _Reader(body)
-    values = {}
-    if packed:
-        flds = [f for f in dataclasses.fields(cls) if f.name != "xid"]
-        n = r.u8()
-        if n > len(flds):
-            raise SerializationError(
-                f"{cls.__name__}: wire has {n} fields, "
-                f"decoder knows {len(flds)}")
-        for i in range(n):
-            values[flds[i].name] = _read_value(r)
-    else:
-        for _ in range(r.u8()):
-            fname = r.string()
-            values[fname] = _read_value(r)
-    msg = cls(**values)
-    msg.xid = xid
-    return msg
-
-
-def encoded_size(msg: _messages.Message) -> int:
-    """Wire size of ``msg`` in bytes (used by the channel latency model)."""
-    return len(encode_message(msg))
-
-
-def encode_value(value, codec: str = None) -> bytes:
-    """Serialise any supported value (the RPC payload codec).
-
-    ``codec`` overrides the module-level switch for this one call.
-    """
-    if codec is None:
-        codec = _wire_codec
-    elif codec not in _VALID_CODECS:
-        raise ValueError(f"unknown wire codec: {codec!r}")
-    w = _Writer()
-    _write_value(w, value, codec == "packed")
+    _write_value(w, value)
     return w.getvalue()
 
 
 def decode_value(data: bytes):
-    """Parse a value produced by :func:`encode_value` (either codec).
+    """Parse a value produced by :func:`encode_value`.
 
     Malformed input raises :class:`SerializationError` and nothing
     else: an out-of-range enum value, a bad UTF-8 string, an
@@ -554,13 +396,14 @@ _B_PICKLE = b"\x00"
 def encode_state_value(value) -> bytes:
     """Encode one checkpoint state value to a self-describing buffer.
 
-    Prefers the packed wire codec (compact, field names interned);
-    values the codec cannot express -- arbitrary app objects -- fall
-    back to pickle.  The one-byte prefix records which path was taken
-    so :func:`decode_state_value` needs no out-of-band flag.
+    Prefers the wire codec (compact, field names interned); values it
+    cannot express -- arbitrary app objects, ints past the varint
+    bound -- fall back to pickle.  The one-byte prefix records which
+    path was taken so :func:`decode_state_value` needs no out-of-band
+    flag.
     """
     try:
-        return _B_PACKED + encode_value(value, codec="packed")
+        return _B_PACKED + encode_value(value)
     except (SerializationError, ValueError, TypeError):
         return _B_PICKLE + pickle.dumps(value)
 

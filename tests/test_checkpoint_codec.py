@@ -55,10 +55,12 @@ class DictApp:
         self.state = dict(state)
 
 
-CODECS = pytest.mark.parametrize("codec", ["pickle", "schema"])
+#: Which state-value path the values take: pickle fallback or the
+#: wire codec.
+VALUE_PATHS = pytest.mark.parametrize("codec", ["pickle", "schema"])
 
 
-@CODECS
+@VALUE_PATHS
 def test_take_encodes_each_key_exactly_once(codec):
     """N takes of a K-key untracked state = N*K encodes, zero decodes
     -- the double-serialization regression pin."""
@@ -74,7 +76,7 @@ def test_take_encodes_each_key_exactly_once(codec):
     assert {buf[:1] for buf in checkpoint.image.values()} == {PREFIX[codec]}
 
 
-@CODECS
+@VALUE_PATHS
 def test_dedup_take_still_encodes_once(codec):
     """An unchanged untracked take must encode (to compare) but write
     nothing -- and still never encode a key twice."""
@@ -90,7 +92,7 @@ def test_dedup_take_still_encodes_once(codec):
     assert store.value_decodes == 0
 
 
-@CODECS
+@VALUE_PATHS
 def test_restore_equivalence_across_codecs(codec):
     """materialize() yields the monolithic pickle contract and
     restore() reinstates the state, whichever codec path the values

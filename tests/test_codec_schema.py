@@ -1,12 +1,12 @@
-"""Property tests for the schema-interned packed wire codec.
+"""Property tests for the schema-interned wire codec.
 
 Four contracts, checked with hypothesis over every RPC frame type:
 
-1. **round trip** -- decode(encode(frame)) == frame under the packed
-   codec, including FrameBatch nesting and OpenFlow payloads;
-2. **codec equivalence** -- the packed and named encodings of one frame
-   decode to the *same* value (the A/B benchmark flag cannot change
-   semantics), and the packed form is never larger on real frames;
+1. **round trip** -- decode(encode(frame)) == frame, including
+   FrameBatch nesting and OpenFlow payloads;
+2. **int bound** -- an int past the varint bound is refused by
+   :func:`encode_value` (never written as bytes the decoder rejects),
+   and the checkpoint value codec falls back to pickle for it;
 3. **trailing-default compatibility** -- a packed frame written by an
    older peer that doesn't know a trailing defaulted field (e.g.
    ``trace_id``) still decodes, with the default filled in;
@@ -38,17 +38,24 @@ from repro.openflow.serialization import (
     SerializationError,
     _Writer,
     _write_value,
-    decode_message,
+    decode_state_value,
     decode_value,
-    encode_message,
+    encode_state_value,
     encode_value,
-    wire_codec,
 )
 
 # -- strategies -------------------------------------------------------
 
-# The named codec stores ints as i64, so stay inside that range.
-ints = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+#: The varint bound: 11 LEB128 bytes carry ints in [-2**76, 2**76).
+INT_BOUND = 2**76
+wire_ints = st.integers(min_value=-INT_BOUND, max_value=INT_BOUND - 1)
+#: Also ints past the bound, which encode_value must refuse.
+ints = st.one_of(
+    wire_ints,
+    st.integers(min_value=-(2**130), max_value=2**130),
+    st.sampled_from([INT_BOUND - 1, INT_BOUND, -INT_BOUND, -INT_BOUND - 1,
+                     2**80, 2**128 - 1]),
+)
 small = st.integers(min_value=0, max_value=2**31)
 floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 names = st.text(max_size=24)
@@ -127,7 +134,7 @@ FRAME_STRATEGIES = {
                              message=payload_messages, trace_id=small),
     rpc.EventComplete: st.builds(
         rpc.EventComplete, app_name=names, seq=small, output_count=small,
-        counter_deltas=st.lists(st.tuples(names, ints),
+        counter_deltas=st.lists(st.tuples(names, wire_ints),
                                 max_size=3).map(tuple),
         log_lines=str_tuples, trace_id=small),
     rpc.CrashReport: st.builds(rpc.CrashReport, app_name=names,
@@ -188,30 +195,42 @@ def test_packed_round_trip(frame):
     assert rpc.decode_frame(data) == frame
 
 
-@settings(max_examples=60, deadline=None)
-@given(frame=any_frame)
-def test_packed_and_named_decode_identically(frame):
-    packed = encode_value(frame, codec="packed")
-    named = encode_value(frame, codec="named")
-    assert decode_value(packed) == decode_value(named) == frame
+def _ints_in(value):
+    if isinstance(value, int) and not isinstance(value, bool):
+        yield value
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            yield from _ints_in(k)
+            yield from _ints_in(v)
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            yield from _ints_in(item)
 
 
 @settings(max_examples=60, deadline=None)
 @given(value=values)
-def test_plain_value_round_trip_both_codecs(value):
-    for codec in ("packed", "named"):
-        assert decode_value(encode_value(value, codec=codec)) == value
+def test_plain_value_round_trip(value):
+    """A value round-trips unless it holds an int past the varint
+    bound, which encode_value refuses; the checkpoint value codec
+    round-trips either way (pickle takes what the wire cannot)."""
+    fits = all(-INT_BOUND <= i < INT_BOUND for i in _ints_in(value))
+    try:
+        data = encode_value(value)
+    except SerializationError:
+        assert not fits
+    else:
+        assert fits
+        assert decode_value(data) == value
+    assert decode_state_value(encode_state_value(value)) == value
 
 
 @settings(max_examples=40, deadline=None)
 @given(msg=payload_messages, xid=small)
-def test_openflow_message_round_trip_both_codecs(msg, xid):
+def test_openflow_message_round_trip(msg, xid):
     msg.xid = xid
-    for codec in ("packed", "named"):
-        with wire_codec(codec):
-            decoded = decode_message(encode_message(msg))
-        assert decoded == msg
-        assert decoded.xid == xid
+    decoded = decode_value(encode_value(msg))
+    assert decoded == msg
+    assert decoded.xid == xid
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,33 +252,9 @@ def test_trailing_default_trace_id(frame):
     w.varint(sid)
     w.u8(len(flds) - 1)
     for f in flds[:-1]:
-        _write_value(w, getattr(frame, f.name), packed=True)
+        _write_value(w, getattr(frame, f.name))
     decoded = decode_value(w.getvalue())
     assert decoded == dataclasses.replace(frame, trace_id=0)
-
-
-def test_packed_is_smaller_on_real_frames():
-    """The headline property: interning field names shrinks real
-    control-plane frames."""
-    frames = [
-        rpc.EventDeliver(app_name="learning_switch", seq=7,
-                         event=ofmsg.PacketIn(dpid=3, in_port=2,
-                                              packet=Packet(pkt_id=9)),
-                         trace_id=41),
-        rpc.EventComplete(app_name="learning_switch", seq=7,
-                          output_count=2, trace_id=41),
-        rpc.Heartbeat(app_name="firewall", stub_time=1.5,
-                      last_seq_done=12),
-    ]
-    for frame in frames:
-        packed = len(encode_value(frame, codec="packed"))
-        named = len(encode_value(frame, codec="named"))
-        assert packed < named, (frame, packed, named)
-
-
-def test_unknown_codec_rejected():
-    with pytest.raises(ValueError):
-        encode_value(1, codec="msgpack")
 
 
 # -- error contract -----------------------------------------------------
@@ -298,8 +293,7 @@ def test_mutated_frames_raise_only_serialization_error(frame_type, data):
                 if frame_type is rpc.FrameBatch
                 else FRAME_STRATEGIES[frame_type])
     frame = data.draw(strategy)
-    codec = data.draw(st.sampled_from(["packed", "named"]))
-    wire = bytearray(encode_value(frame, codec=codec))
+    wire = bytearray(encode_value(frame))
     pos = data.draw(st.integers(min_value=0, max_value=len(wire) - 1))
     wire[pos] = data.draw(st.integers(min_value=0, max_value=255)
                           .filter(lambda b: b != wire[pos]))

@@ -20,7 +20,7 @@ from repro.openflow.flowtable import FlowTable
 from repro.openflow.inversion import invert
 from repro.openflow.match import MATCH_FIELDS, Match
 from repro.openflow.messages import FlowMod, FlowModCommand, PacketIn
-from repro.openflow.serialization import decode_message, encode_message
+from repro.openflow.serialization import decode_value, encode_value
 
 # -- strategies -------------------------------------------------------
 
@@ -197,7 +197,9 @@ def test_transaction_inversion_in_reverse_order(mods):
 @given(flow_mods())
 @settings(max_examples=80)
 def test_flow_mod_wire_round_trip(mod):
-    assert decode_message(encode_message(mod)) == mod
+    decoded = decode_value(encode_value(mod))
+    assert decoded == mod
+    assert decoded.xid == mod.xid
 
 
 @given(packets(), st.integers(min_value=1, max_value=64),
@@ -205,8 +207,9 @@ def test_flow_mod_wire_round_trip(mod):
 @settings(max_examples=60)
 def test_packet_in_wire_round_trip(pkt, dpid, in_port):
     msg = PacketIn(dpid=dpid, in_port=in_port, packet=pkt)
-    decoded = decode_message(encode_message(msg))
+    decoded = decode_value(encode_value(msg))
     assert decoded == msg
+    assert decoded.xid == msg.xid
     assert decoded.packet.payload == pkt.payload
 
 
