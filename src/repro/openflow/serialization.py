@@ -20,6 +20,12 @@ sides, and ints are zigzag LEB128 varints of at most
 ``_VARINT_MAX_BYTES`` bytes.  Decoding tolerates *trailing* missing
 fields (they take their dataclass defaults), so adding a defaulted
 field keeps old captures readable.
+
+The encoder is compiled per type: a writer, cached by exact type and
+built on first use, appends to one ``bytearray``; a dataclass's writer
+holds its pre-encoded schema header and field names.  The decoder
+walks ``(data, pos)`` offsets through a table of readers indexed by
+tag byte.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ import dataclasses
 import enum
 import pickle
 import struct
-from typing import Dict, List, Tuple, Type
+from itertools import chain
+from typing import Callable, Dict, List, Tuple, Type
 
 from repro.openflow import actions as _actions
 from repro.openflow import messages as _messages
@@ -68,8 +75,16 @@ _VARINT_BITS = 7 * _VARINT_MAX_BYTES
 _schema_ids: Dict[str, int] = {}
 _schema_classes: List[type] = []
 _schema_fields: List[Tuple[dataclasses.Field, ...]] = []
+_schema_names: List[Tuple[str, ...]] = []
 _enum_ids: Dict[str, int] = {}
 _enum_classes: List[Type[enum.Enum]] = []
+
+Writer = Callable[[bytearray, object], None]
+
+#: Exact type -> writer, filled on first use of each type.  A type that
+#: cannot be written is never cached, and every registration empties
+#: the cache, so a class registered late is picked up.
+_writers: Dict[type, Writer] = {}
 
 
 class SerializationError(ValueError):
@@ -90,6 +105,8 @@ def register_dataclass(cls: type) -> type:
         _schema_ids[cls.__name__] = len(_schema_classes)
         _schema_classes.append(cls)
         _schema_fields.append(tuple(dataclasses.fields(cls)))
+        _schema_names.append(tuple(f.name for f in _schema_fields[-1]))
+        _writers.clear()
     return cls
 
 
@@ -98,6 +115,7 @@ def register_enum(cls: Type[enum.Enum]) -> Type[enum.Enum]:
     if cls.__name__ not in _enum_ids:
         _enum_ids[cls.__name__] = len(_enum_classes)
         _enum_classes.append(cls)
+        _writers.clear()
     return cls
 
 
@@ -106,85 +124,16 @@ def schema_table() -> Dict[str, int]:
     return dict(_schema_ids)
 
 
-class _Writer:
-    """Append-only binary buffer."""
+# -- encoding ---------------------------------------------------------
 
-    def __init__(self):
-        self._chunks = []
-
-    def u8(self, v: int):
-        self._chunks.append(struct.pack("!B", v))
-
-    def i64(self, v: int):
-        self._chunks.append(struct.pack("!q", v))
-
-    def f64(self, v: float):
-        self._chunks.append(struct.pack("!d", v))
-
-    def varint(self, v: int):
-        # Zigzag so small negatives stay small, then LEB128.
-        z = v * 2 if v >= 0 else -v * 2 - 1
-        if z >> _VARINT_BITS:
-            raise SerializationError(f"int too large for a varint: {v}")
-        out = bytearray()
-        while z > 0x7F:
-            out.append((z & 0x7F) | 0x80)
-            z >>= 7
-        out.append(z)
-        self._chunks.append(bytes(out))
-
-    def raw(self, b: bytes):
-        self._chunks.append(struct.pack("!I", len(b)))
-        self._chunks.append(b)
-
-    def string(self, s: str):
-        self.raw(s.encode("utf-8"))
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._chunks)
-
-
-class _Reader:
-    """Sequential binary reader over a buffer."""
-
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise SerializationError("truncated buffer")
-        chunk = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return struct.unpack("!B", self._take(1))[0]
-
-    def i64(self) -> int:
-        return struct.unpack("!q", self._take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("!d", self._take(8))[0]
-
-    def varint(self) -> int:
-        z = 0
-        shift = 0
-        while True:
-            b = self._take(1)[0]
-            z |= (b & 0x7F) << shift
-            if not b & 0x80:
-                return z >> 1 if z % 2 == 0 else -(z >> 1) - 1
-            shift += 7
-            if shift >= _VARINT_BITS:
-                raise SerializationError("varint too long")
-
-    def raw(self) -> bytes:
-        (n,) = struct.unpack("!I", self._take(4))
-        return self._take(n)
-
-    def string(self) -> str:
-        return self.raw().decode("utf-8")
+_pack_i64 = struct.Struct("!q").pack
+#: Tag byte + big-endian float64 / u32 byte count.
+_pack_tag_f64 = struct.Struct("!Bd").pack
+_pack_tag_u32 = struct.Struct("!BI").pack
+#: ``_T_VARINT`` plus the one-byte varint of each int in [-64, 64),
+#: indexed by the int itself (negative ints from the end).
+_SMALL_INTS = tuple(bytes((_T_VARINT, v * 2 if v >= 0 else -v * 2 - 1))
+                    for v in (*range(64), *range(-64, 0)))
 
 
 def _sorted_members(value):
@@ -194,123 +143,220 @@ def _sorted_members(value):
         return sorted(value, key=repr)
 
 
-def _write_value(w: _Writer, value) -> None:
-    if value is None:
-        w.u8(_T_NONE)
-    elif isinstance(value, bool):
-        w.u8(_T_BOOL)
-        w.u8(1 if value else 0)
-    elif isinstance(value, enum.Enum):
-        name = type(value).__name__
-        if name not in _enum_ids:
-            raise SerializationError(f"unregistered enum on wire: {name}")
-        w.u8(_T_ENUM_ID)
-        w.varint(_enum_ids[name])
-        w.varint(int(value.value))
-    elif isinstance(value, int):
-        w.u8(_T_VARINT)
-        w.varint(value)
-    elif isinstance(value, float):
-        w.u8(_T_FLOAT)
-        w.f64(value)
-    elif isinstance(value, str):
-        w.u8(_T_STR)
-        w.string(value)
-    elif isinstance(value, bytes):
-        w.u8(_T_BYTES)
-        w.raw(value)
-    elif isinstance(value, list):
-        w.u8(_T_LIST)
-        w.i64(len(value))
-        for item in value:
-            _write_value(w, item)
-    elif isinstance(value, tuple):
-        w.u8(_T_TUPLE)
-        w.i64(len(value))
-        for item in value:
-            _write_value(w, item)
-    elif isinstance(value, dict):
-        w.u8(_T_DICT)
-        w.varint(len(value))
-        for k, v in value.items():
-            _write_value(w, k)
-            _write_value(w, v)
-    elif isinstance(value, frozenset):
-        w.u8(_T_FROZENSET)
-        w.varint(len(value))
-        for item in _sorted_members(value):
-            _write_value(w, item)
-    elif isinstance(value, set):
-        w.u8(_T_SET)
-        w.varint(len(value))
-        for item in _sorted_members(value):
-            _write_value(w, item)
-    elif dataclasses.is_dataclass(value):
-        name = type(value).__name__
-        if name not in _schema_ids:
-            raise SerializationError(f"unregistered dataclass on wire: {name}")
-        sid = _schema_ids[name]
-        w.u8(_T_SCHEMA)
-        w.varint(sid)
-        flds = _schema_fields[sid]
-        w.u8(len(flds))
-        for f in flds:
-            _write_value(w, getattr(value, f.name))
+def _write_int(out: bytearray, value: int) -> None:
+    if -64 <= value < 64:
+        out += _SMALL_INTS[value]
+        return
+    # Zigzag so small negatives stay small, then LEB128.
+    z = value * 2 if value >= 0 else -value * 2 - 1
+    if z >> _VARINT_BITS:
+        raise SerializationError(f"int too large for a varint: {value}")
+    out.append(_T_VARINT)
+    while z > 0x7F:
+        out.append((z & 0x7F) | 0x80)
+        z >>= 7
+    out.append(z)
+
+
+def _varint(v: int) -> bytes:
+    """The varint bytes of ``v``: :func:`_write_int` without the tag."""
+    out = bytearray()
+    _write_int(out, v)
+    return bytes(out[1:])
+
+
+def _write_str(out: bytearray, value: str) -> None:
+    raw = value.encode("utf-8")
+    out += _pack_tag_u32(_T_STR, len(raw))
+    out += raw
+
+
+def _container_writer(tag: int, count: Callable[[int], bytes],
+                      members: Callable = lambda value: value) -> Writer:
+    """Writer for tag, ``count(len)``, then each of ``members(value)``."""
+    prefix = bytes((tag,))
+    writers = _writers
+
+    def write(out: bytearray, value) -> None:
+        out += prefix
+        out += count(len(value))
+        for item in members(value):
+            (writers.get(type(item)) or _writer_for(item))(out, item)
+    return write
+
+
+#: Built-in types in precedence order: a type takes the writer of the
+#: first entry it subclasses (bool before int, frozenset before set).
+_BUILTIN_WRITERS: Tuple[Tuple[type, Writer], ...] = (
+    (type(None), lambda out, value: out.append(_T_NONE)),
+    (bool, lambda out, value: out.extend((_T_BOOL, 1 if value else 0))),
+    (int, _write_int),
+    (float, lambda out, value: out.extend(_pack_tag_f64(_T_FLOAT, value))),
+    (str, _write_str),
+    (bytes, lambda out, value: out.extend(
+        _pack_tag_u32(_T_BYTES, len(value)) + value)),
+    (list, _container_writer(_T_LIST, _pack_i64)),
+    (tuple, _container_writer(_T_TUPLE, _pack_i64)),
+    (dict, _container_writer(
+        _T_DICT, _varint, lambda value: chain.from_iterable(value.items()))),
+    (frozenset, _container_writer(_T_FROZENSET, _varint, _sorted_members)),
+    (set, _container_writer(_T_SET, _varint, _sorted_members)),
+)
+
+
+def _enum_writer(cls: type) -> Writer:
+    eid = _enum_ids.get(cls.__name__)
+    if eid is None:
+        raise SerializationError(f"unregistered enum on wire: {cls.__name__}")
+    head = bytes((_T_ENUM_ID,)) + _varint(eid)
+    return lambda out, value: out.extend(head + _varint(int(value.value)))
+
+
+def _schema_writer(cls: type) -> Writer:
+    sid = _schema_ids.get(cls.__name__)
+    if sid is None:
+        raise SerializationError(
+            f"unregistered dataclass on wire: {cls.__name__}")
+    names = _schema_names[sid]
+    head = bytes((_T_SCHEMA,)) + _varint(sid) + bytes((len(names),))
+    writers = _writers
+
+    def write(out: bytearray, value) -> None:
+        out += head
+        for name in names:
+            item = getattr(value, name)
+            (writers.get(type(item)) or _writer_for(item))(out, item)
+    return write
+
+
+def _writer_for(value) -> Writer:
+    """Build, cache and return the writer for ``type(value)``."""
+    cls = type(value)
+    if issubclass(cls, enum.Enum):
+        writer = _enum_writer(cls)
     else:
-        raise SerializationError(f"unserialisable value: {value!r}")
+        writer = next((write for base, write in _BUILTIN_WRITERS
+                       if issubclass(cls, base)), None)
+        if writer is None:
+            if not dataclasses.is_dataclass(cls):
+                raise SerializationError(f"unserialisable value: {value!r}")
+            writer = _schema_writer(cls)
+    _writers[cls] = writer
+    return writer
 
 
-def _read_value(r: _Reader):
-    tag = r.u8()
-    if tag == _T_NONE:
-        return None
-    if tag == _T_BOOL:
-        return bool(r.u8())
-    if tag == _T_ENUM_ID:
-        eid = r.varint()
-        value = r.varint()
-        if not 0 <= eid < len(_enum_classes):
-            raise SerializationError(f"unknown enum id on wire: {eid}")
-        return _enum_classes[eid](value)
-    if tag == _T_VARINT:
-        return r.varint()
-    if tag == _T_FLOAT:
-        return r.f64()
-    if tag == _T_STR:
-        return r.string()
-    if tag == _T_BYTES:
-        return r.raw()
-    if tag == _T_LIST:
-        return [_read_value(r) for _ in range(r.i64())]
-    if tag == _T_TUPLE:
-        return tuple(_read_value(r) for _ in range(r.i64()))
-    if tag == _T_DICT:
-        n = r.varint()
-        out = {}
-        for _ in range(n):
-            k = _read_value(r)
-            out[k] = _read_value(r)
-        return out
-    if tag == _T_SET:
-        return {_read_value(r) for _ in range(r.varint())}
-    if tag == _T_FROZENSET:
-        return frozenset(_read_value(r) for _ in range(r.varint()))
-    if tag == _T_SCHEMA:
-        sid = r.varint()
-        if not 0 <= sid < len(_schema_classes):
-            raise SerializationError(f"unknown schema id on wire: {sid}")
-        cls = _schema_classes[sid]
-        flds = _schema_fields[sid]
-        n = r.u8()
-        if n > len(flds):
-            raise SerializationError(
-                f"schema {cls.__name__}: wire has {n} fields, "
-                f"decoder knows {len(flds)}")
-        # Trailing fields absent on the wire take their declared
-        # defaults -- adding a defaulted field is a compatible change.
-        values = {flds[i].name: _read_value(r) for i in range(n)}
-        return cls(**values)
-    raise SerializationError(f"unknown value tag: {tag}")
+# -- decoding ---------------------------------------------------------
+# A reader takes the buffer and the offset just past a tag byte and
+# returns ``(value, next offset)``.  Reading past the end raises
+# IndexError or struct.error, which _decode maps to SerializationError.
+
+_unpack_f64 = struct.Struct("!d").unpack_from
+_unpack_u32 = struct.Struct("!I").unpack_from
+_unpack_i64 = struct.Struct("!q").unpack_from
+
+
+def _read_varint(data: bytes, pos: int):
+    z = shift = 0
+    while True:
+        b = data[pos]
+        pos += 1
+        z |= (b & 0x7F) << shift
+        if b < 0x80:
+            return (-(z >> 1) - 1 if z & 1 else z >> 1), pos
+        shift += 7
+        if shift >= _VARINT_BITS:
+            raise SerializationError("varint too long")
+
+
+def _read_i64(data: bytes, pos: int):
+    return _unpack_i64(data, pos)[0], pos + 8
+
+
+def _read_items(data: bytes, pos: int, n: int):
+    if n < 0:
+        raise SerializationError(f"negative container length: {n}")
+    items = []
+    readers = _READERS
+    for _ in range(n):
+        item, pos = readers[data[pos]](data, pos + 1)
+        items.append(item)
+    return items, pos
+
+
+def _container_reader(count: Callable, build: Callable, width: int = 1):
+    """Reader for a count (read by ``count``), then ``width`` values per
+    counted item, all passed as one list to ``build``."""
+    def read(data: bytes, pos: int):
+        n, pos = count(data, pos)
+        items, pos = _read_items(data, pos, n * width)
+        return build(items), pos
+    return read
+
+
+def _read_bytes(data: bytes, pos: int):
+    end = pos + 4 + _unpack_u32(data, pos)[0]
+    if end > len(data):
+        raise SerializationError("truncated buffer")
+    return data[pos + 4:end], end
+
+
+def _read_str(data: bytes, pos: int):
+    end = pos + 4 + _unpack_u32(data, pos)[0]
+    if end > len(data):
+        raise SerializationError("truncated buffer")
+    return data[pos + 4:end].decode("utf-8"), end
+
+
+def _read_enum(data: bytes, pos: int):
+    eid, pos = _read_varint(data, pos)
+    value, pos = _read_varint(data, pos)
+    if not 0 <= eid < len(_enum_classes):
+        raise SerializationError(f"unknown enum id on wire: {eid}")
+    return _enum_classes[eid](value), pos
+
+
+def _read_schema(data: bytes, pos: int):
+    sid, pos = _read_varint(data, pos)
+    if not 0 <= sid < len(_schema_classes):
+        raise SerializationError(f"unknown schema id on wire: {sid}")
+    names = _schema_names[sid]
+    n = data[pos]
+    pos += 1
+    if n > len(names):
+        raise SerializationError(
+            f"schema {_schema_classes[sid].__name__}: wire has {n} fields, "
+            f"decoder knows {len(names)}")
+    # Trailing fields absent on the wire take their declared defaults
+    # -- adding a defaulted field is a compatible change.  Keywords
+    # also reach kw_only fields such as Message.xid.
+    values = {}
+    readers = _READERS
+    for name in names[:n]:
+        values[name], pos = readers[data[pos]](data, pos + 1)
+    return _schema_classes[sid](**values), pos
+
+
+def _read_unknown_tag(data: bytes, pos: int):
+    raise SerializationError(f"unknown value tag: {data[pos - 1]}")
+
+
+#: Tag byte -> reader.
+_READERS: Tuple[Callable, ...] = tuple({
+    _T_NONE: lambda data, pos: (None, pos),
+    _T_BOOL: lambda data, pos: (bool(data[pos]), pos + 1),
+    _T_FLOAT: lambda data, pos: (_unpack_f64(data, pos)[0], pos + 8),
+    _T_STR: _read_str,
+    _T_BYTES: _read_bytes,
+    _T_LIST: _container_reader(_read_i64, list),
+    _T_TUPLE: _container_reader(_read_i64, tuple),
+    _T_DICT: _container_reader(
+        _read_varint, lambda items: dict(zip(items[::2], items[1::2])), 2),
+    _T_SET: _container_reader(_read_varint, set),
+    _T_FROZENSET: _container_reader(_read_varint, frozenset),
+    _T_SCHEMA: _read_schema,
+    _T_ENUM_ID: _read_enum,
+    _T_VARINT: _read_varint,
+}.get(tag, _read_unknown_tag) for tag in range(256))
 
 
 # -- protocol registrations --------------------------------------------
@@ -364,26 +410,42 @@ for _enum_cls in (
 
 
 def encode_value(value) -> bytes:
-    """Serialise any supported value (the RPC payload codec)."""
-    w = _Writer()
-    _write_value(w, value)
-    return w.getvalue()
+    """Serialise any supported value (the RPC payload codec).
+
+    A value nested past the interpreter's recursion limit -- a cyclic
+    list or dict among them -- raises :class:`SerializationError`.
+    """
+    out = bytearray()
+    try:
+        (_writers.get(type(value)) or _writer_for(value))(out, value)
+    except RecursionError as exc:
+        raise SerializationError(f"value nests too deeply: {exc}") from exc
+    return bytes(out)
 
 
 def decode_value(data: bytes):
     """Parse a value produced by :func:`encode_value`.
 
     Malformed input raises :class:`SerializationError` and nothing
-    else: an out-of-range enum value, a bad UTF-8 string, an
-    unhashable dict key or a field set the class rejects is a bad
-    buffer, not a bug in the caller.
+    else: a truncated buffer, trailing bytes, a negative length, an
+    out-of-range enum value, a bad UTF-8 string, an unhashable dict key
+    or a field set the class rejects is a bad buffer, not a bug in the
+    caller.
     """
+    return _decode(data, 0)
+
+
+def _decode(data: bytes, pos: int):
     try:
-        return _read_value(_Reader(data))
+        value, pos = _READERS[data[pos]](data, pos + 1)
     except SerializationError:
         raise
-    except (ValueError, TypeError, RecursionError) as exc:
+    except (IndexError, struct.error, ValueError, TypeError,
+            RecursionError) as exc:
         raise SerializationError(f"malformed value: {exc}") from exc
+    if pos != len(data):
+        raise SerializationError(f"{len(data) - pos} trailing bytes")
+    return value
 
 
 # -- checkpoint value codec -------------------------------------------
@@ -398,9 +460,9 @@ def encode_state_value(value) -> bytes:
 
     Prefers the wire codec (compact, field names interned); values it
     cannot express -- arbitrary app objects, ints past the varint
-    bound -- fall back to pickle.  The one-byte prefix records which
-    path was taken so :func:`decode_state_value` needs no out-of-band
-    flag.
+    bound, cyclic containers -- fall back to pickle.  The one-byte
+    prefix records which path was taken so :func:`decode_state_value`
+    needs no out-of-band flag.
     """
     try:
         return _B_PACKED + encode_value(value)
@@ -413,5 +475,5 @@ def decode_state_value(buf: bytes):
     if not buf:
         raise SerializationError("empty state-value buffer")
     if buf[:1] == _B_PACKED:
-        return decode_value(buf[1:])
+        return _decode(buf, 1)
     return pickle.loads(buf[1:])

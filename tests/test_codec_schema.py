@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -33,11 +34,15 @@ from repro.openflow.match import Match
 from repro.openflow.serialization import (
     _schema_fields,
     _schema_ids,
+    _T_DICT,
     _T_ENUM_ID,
+    _T_FROZENSET,
+    _T_LIST,
     _T_SCHEMA,
+    _T_SET,
+    _T_TUPLE,
     SerializationError,
-    _Writer,
-    _write_value,
+    _varint,
     decode_state_value,
     decode_value,
     encode_state_value,
@@ -224,6 +229,24 @@ def test_plain_value_round_trip(value):
     assert decode_state_value(encode_state_value(value)) == value
 
 
+def test_cyclic_state_values_fall_back_to_pickle():
+    """A self-referencing list or dict cannot be written (it would
+    recurse forever); encode_value refuses it with SerializationError
+    and the checkpoint value codec round-trips it through pickle."""
+    loop = []
+    loop.append(loop)
+    knot = {"n": 1}
+    knot["self"] = knot
+    for value in (loop, knot):
+        with pytest.raises(SerializationError):
+            encode_value(value)
+        assert encode_state_value(value)[:1] == b"\x00"
+    restored = decode_state_value(encode_state_value(loop))
+    assert len(restored) == 1 and restored[0] is restored
+    restored = decode_state_value(encode_state_value(knot))
+    assert restored["n"] == 1 and restored["self"] is restored
+
+
 @settings(max_examples=40, deadline=None)
 @given(msg=payload_messages, xid=small)
 def test_openflow_message_round_trip(msg, xid):
@@ -247,13 +270,11 @@ def test_trailing_default_trace_id(frame):
     # fewer field on the wire (white-box: uses the codec's internals).
     sid = _schema_ids[cls.__name__]
     assert _schema_fields[sid] == flds
-    w = _Writer()
-    w.u8(_T_SCHEMA)
-    w.varint(sid)
-    w.u8(len(flds) - 1)
-    for f in flds[:-1]:
-        _write_value(w, getattr(frame, f.name))
-    decoded = decode_value(w.getvalue())
+    # Values are self-delimiting, so the fields are concatenated.
+    wire = (bytes([_T_SCHEMA]) + _varint(sid) + bytes([len(flds) - 1])
+            + b"".join(encode_value(getattr(frame, f.name))
+                       for f in flds[:-1]))
+    decoded = decode_value(wire)
     assert decoded == dataclasses.replace(frame, trace_id=0)
 
 
@@ -300,13 +321,39 @@ def test_mutated_frames_raise_only_serialization_error(frame_type, data):
     _decodes_or_rejects(rpc.decode_frame, bytes(wire))
 
 
+def test_trailing_bytes_are_rejected():
+    """A buffer holds exactly one value: bytes after it are an error,
+    not silently ignored."""
+    frame = rpc.ChannelAck(cumulative=3, crc=7)
+    for wire in (encode_value(5) + b"garbage",
+                 encode_value(frame) + b"\x00",
+                 encode_value([1, "x"]) + encode_value(None)):
+        with pytest.raises(SerializationError):
+            decode_value(wire)
+    with pytest.raises(SerializationError):
+        rpc.decode_frame(rpc.encode_frame(frame) + b"\x00")
+    with pytest.raises(SerializationError):
+        decode_state_value(encode_state_value({"k": 1}) + b"\x00")
+
+
+@pytest.mark.parametrize("wire", [
+    bytes([_T_LIST]) + struct.pack("!q", -5),
+    bytes([_T_TUPLE]) + struct.pack("!q", -1),
+    bytes([_T_DICT]) + _varint(-1),
+    bytes([_T_SET]) + _varint(-2),
+    bytes([_T_FROZENSET]) + _varint(-1),
+], ids=["list", "tuple", "dict", "set", "frozenset"])
+def test_negative_lengths_are_rejected(wire):
+    """A container length below zero is malformed; it must not decode
+    as an empty container."""
+    with pytest.raises(SerializationError):
+        decode_value(wire)
+
+
 @pytest.mark.parametrize("tag", [_T_SCHEMA, _T_ENUM_ID])
 def test_negative_ids_are_rejected(tag):
     """Zigzag varints can carry negative ids; they must not index the
     registries from the end (a wrong class, silently)."""
-    w = _Writer()
-    w.u8(tag)
-    w.varint(-1)
-    w.varint(0)
+    wire = bytes([tag]) + _varint(-1) + _varint(0)
     with pytest.raises(SerializationError):
-        decode_value(w.getvalue())
+        decode_value(wire)

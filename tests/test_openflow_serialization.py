@@ -31,9 +31,11 @@ from repro.openflow.messages import (
 from repro.openflow.serialization import (
     _T_SCHEMA,
     SerializationError,
-    _Writer,
+    _varint,
     decode_value,
     encode_value,
+    register_dataclass,
+    register_enum,
 )
 
 
@@ -122,12 +124,9 @@ class TestWireFormat:
             decode_value(data[:-2])
 
     def test_garbage_type_id_raises(self):
-        w = _Writer()
-        w.u8(_T_SCHEMA)
-        w.varint(10**6)
-        w.u8(0)
+        wire = bytes([_T_SCHEMA]) + _varint(10**6) + bytes([0])
         with pytest.raises(SerializationError):
-            decode_value(w.getvalue())
+            decode_value(wire)
 
 
 class TestValueCodec:
@@ -162,6 +161,28 @@ class TestValueCodec:
 
         with pytest.raises(SerializationError):
             encode_value(Colour.RED)
+
+    def test_late_registration_is_picked_up(self):
+        """Registration clears the encoder's type cache: a type refused
+        before it was registered encodes once it is."""
+        import enum
+        from dataclasses import dataclass
+
+        @dataclass
+        class LateRecord:
+            x: int = 1
+
+        class LateColour(enum.IntEnum):
+            RED = 1
+
+        encode_value(Match())
+        for value in (LateRecord(), LateColour.RED):
+            with pytest.raises(SerializationError):
+                encode_value(value)
+        register_dataclass(LateRecord)
+        register_enum(LateColour)
+        assert decode_value(encode_value(LateRecord(x=5))) == LateRecord(x=5)
+        assert decode_value(encode_value(LateColour.RED)) is LateColour.RED
 
     def test_unserialisable_value_raises(self):
         with pytest.raises(SerializationError):

@@ -16,11 +16,14 @@ no fixture fails :func:`test_fixtures_cover_every_registered_schema`.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -29,7 +32,11 @@ from repro.network.packet import Packet
 from repro.openflow import actions as act
 from repro.openflow import messages as ofmsg
 from repro.openflow.match import Match
-from repro.openflow.serialization import decode_value, encode_value
+from repro.openflow.serialization import (
+    SerializationError,
+    decode_value,
+    encode_value,
+)
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
@@ -180,6 +187,43 @@ def fixtures() -> dict:
     return {type(obj).__name__: obj for obj in instances}
 
 
+class _Port(int):
+    """An int subclass: travels as a plain varint."""
+
+
+class _Name(str):
+    """A str subclass: travels as a plain string."""
+
+
+class _Pair(NamedTuple):
+    port: int
+    name: str
+
+
+def edge_cases() -> dict:
+    """Case name -> a value whose bytes depend on the encoder's type
+    precedence (bool before int, enum before int, subclasses taking
+    their base's layout, set order) or sit on a varint width edge."""
+    return {
+        "true": True,
+        "one": 1,
+        "bool_and_int": [True, 1, False, 0],
+        "int_enum_as_int": ofmsg.FlowMod(
+            xid=1, priority=ofmsg.FlowModCommand.MODIFY,
+            out_port=ofmsg.PortStatusReason.DELETE),
+        "int_subclass": _Port(8080),
+        "str_subclass": _Name("eth0"),
+        "named_tuple": _Pair(3, "up"),
+        "defaultdict": defaultdict(list, {"b": [1], "a": []}),
+        "empty_containers": ([], (), {}, set(), frozenset()),
+        "mixed_set": {1, "a", (2, None), b"x", 2.5},
+        "mixed_frozenset": frozenset({None, 0, "0"}),
+        "varint_edges": (-64, -65, 63, 64, 8191, 8192,
+                         2**76 - 1, -(2**76 - 1)),
+        "negative_zero": -0.0,
+    }
+
+
 def snapshot() -> dict:
     """Registered names and the sha256 of each fixture's encoding."""
     from repro.openflow import serialization as codec
@@ -193,6 +237,8 @@ def snapshot() -> dict:
         "digests": {name: digest(obj) for name, obj in fixtures().items()},
         "enum_digests": {cls.__name__: digest(tuple(cls))
                          for cls in codec._enum_classes},
+        "edge_digests": {name: digest(value)
+                         for name, value in edge_cases().items()},
     }
 
 
@@ -261,6 +307,22 @@ GOLDEN_ENUMS = {
     "PacketInReason": "2cb408b51e34ed8e",
     "PortStatusReason": "d25c6e7b6da251f2",
 }
+#: The same digests for each value of ``edge_cases()``.
+GOLDEN_EDGES = {
+    "true": "9dcf97a184f32623",
+    "one": "d26b715881de3752",
+    "bool_and_int": "ca82ad979fe2b0d5",
+    "int_enum_as_int": "ab91e67127be7960",
+    "int_subclass": "daf9cc1971582b8f",
+    "str_subclass": "6f16971605dc6d70",
+    "named_tuple": "ad19da4d79568bb9",
+    "defaultdict": "efe28431f2cb72d2",
+    "empty_containers": "25958579d15357b8",
+    "mixed_set": "0330c413e3119066",
+    "mixed_frozenset": "46e17e22d009d3ae",
+    "varint_edges": "9f7932fb4ecf9213",
+    "negative_zero": "b9b8f72be2eec31d",
+}
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +340,27 @@ def test_fixtures_cover_every_registered_schema(fresh):
 def test_wire_bytes_match_golden(fresh):
     assert fresh["digests"] == GOLDEN
     assert fresh["enum_digests"] == GOLDEN_ENUMS
+
+
+def test_type_precedence_edges_match_golden(fresh):
+    assert fresh["edge_digests"] == GOLDEN_EDGES
+
+
+def test_unregistered_subclass_of_registered_dataclass_raises():
+    """Writers are cached by exact type, so a subclass of a registered
+    dataclass must not borrow its base's writer: under an unregistered
+    name it raises, before and after both types were first seen."""
+
+    @dataclasses.dataclass(frozen=True)
+    class UnregisteredMatch(Match):
+        pass
+
+    for _ in range(2):
+        assert decode_value(encode_value(Match(in_port=1))) == Match(in_port=1)
+        with pytest.raises(SerializationError):
+            encode_value(UnregisteredMatch(in_port=1))
+        with pytest.raises(SerializationError):
+            encode_value([Match(), UnregisteredMatch()])
 
 
 def test_fixtures_round_trip():
