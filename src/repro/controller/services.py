@@ -190,12 +190,24 @@ class DeviceManager:
 
     Hosts are only learned on edge ports; packets entering on a known
     inter-switch port are transit traffic, not evidence of a host.
+
+    Every ``version`` bump made by :meth:`learn` logs the MAC it
+    changed, so a reader that saw the table at some version can fetch
+    just the entries changed since (:meth:`changes_since`).  The log
+    holds at most one entry per host in the table: a reader further
+    behind than that gets no answer, and a full copy of the table is no
+    larger than the changes it missed.
     """
 
     def __init__(self, controller):
         self.controller = controller
         self._hosts: Dict[str, HostEntry] = {}
         self.version = 0
+        #: MAC changed by each version bump after ``_log_base``, oldest
+        #: first; ``_log_base + len(_log) == version`` while the log is
+        #: complete.
+        self._log: List[str] = []
+        self._log_base = 0
 
     def learn(self, dpid: int, msg: PacketIn) -> None:
         packet = msg.packet
@@ -203,11 +215,16 @@ class DeviceManager:
             return
         if self.controller.topology.is_interswitch_port(dpid, msg.in_port):
             return
-        entry = HostEntry(mac=packet.eth_src, ip=packet.ip_src,
+        mac = packet.eth_src
+        entry = HostEntry(mac=mac, ip=packet.ip_src,
                           dpid=dpid, port=msg.in_port)
-        if self._hosts.get(packet.eth_src) != entry:
-            self._hosts[packet.eth_src] = entry
+        if self._hosts.get(mac) != entry:
+            self._hosts[mac] = entry
             self.version += 1
+            self._log.append(mac)
+            if len(self._log) > len(self._hosts):
+                del self._log[0]
+                self._log_base += 1
 
     def location(self, mac: str) -> Optional[HostEntry]:
         return self._hosts.get(mac)
@@ -215,9 +232,41 @@ class DeviceManager:
     def all(self) -> Dict[str, HostEntry]:
         return dict(self._hosts)
 
+    def changes_since(self, version: int) -> Optional[Tuple[HostEntry, ...]]:
+        """The current entry of every host changed after ``version``.
+
+        Entries come in the order their MACs first changed, so merging
+        them into a copy of the table taken at ``version`` rebuilds the
+        table, insertion order included.  Returns None when the log
+        cannot answer exactly: ``version`` is older than the log or
+        newer than the table, :meth:`reset` or :meth:`restore` ran
+        since, or ``version`` was bumped without a log entry.
+        """
+        if (version < self._log_base or version > self.version
+                or self._log_base + len(self._log) != self.version):
+            return None
+        changed = dict.fromkeys(self._log[version - self._log_base:])
+        return tuple(self._hosts[mac] for mac in changed)
+
+    def _restart_log(self) -> None:
+        """Bump the version and start an empty log at it: no reader of
+        an earlier version can be answered with changes any more."""
+        self.version += 1
+        self._log.clear()
+        self._log_base = self.version
+
     def reset(self) -> None:
         self._hosts.clear()
-        self.version += 1
+        self._restart_log()
+
+    def restore(self, entries: Dict[str, HostEntry]) -> None:
+        """Reinstate snapshot ``entries`` over the current table.
+
+        The next :meth:`changes_since` from any earlier version returns
+        None, so every mirror of the table is rebuilt from a full copy.
+        """
+        self._hosts.update(entries)
+        self._restart_log()
 
 
 class CounterStore:

@@ -418,12 +418,12 @@ class AppVisorProxy:
         the failure, but with several apps in flight the proxy must not
         cross-attribute.
         """
-        topo = self.controller.topology.view()
-        hosts = self.controller.devices.all()
         if self.mode == "netlog":
             if not (self.byzantine_check and inflight.txn.records):
                 self.manager.commit(inflight.txn)
                 return []
+            topo = self.controller.topology.view()
+            hosts = self.controller.devices.all()
             violations = self.crashpad.check_byzantine(
                 self.manager.current_tables(), topo, hosts
             )
@@ -451,6 +451,8 @@ class AppVisorProxy:
         # buffer mode: vet the preview BEFORE anything touches a switch.
         pending = self.buffer.pending(record.name, frame.seq)
         if self.byzantine_check and pending:
+            topo = self.controller.topology.view()
+            hosts = self.controller.devices.all()
             preview = self.manager.preview_tables(pending)
             violations = self.crashpad.check_byzantine(preview, topo, hosts)
             if violations:
@@ -471,14 +473,16 @@ class AppVisorProxy:
     def _critical_path_summary(self, trace_id: int, top: int = 3) -> list:
         """Top critical-path self-time rows for one trace, for the
         ticket (§3.3 made actionable: where the failing event's latency
-        actually sat).  Runs on the failure path only -- never per
-        event -- so the span scan's cost is irrelevant."""
+        actually sat).  Runs on every failure, so it converts only the
+        failing trace's spans: the scan over the span ring stays, but no
+        other span is turned into a dict."""
         if not self.telemetry.enabled or not trace_id:
             return []
         from repro.telemetry.causal import analyze
 
-        analysis = analyze(self.telemetry.tracer.to_dicts(),
-                           trace_ids=[trace_id])
+        spans = [span for span in self.telemetry.tracer.spans
+                 if span.trace_id == trace_id]
+        analysis = analyze(spans, trace_ids=[trace_id])
         return [
             {"name": name,
              "self_time": round(entry["total"], 9),
@@ -703,9 +707,15 @@ class AppVisorProxy:
 
         Wired by the runtime to ``UdpChannel.on_fault``.  The detector
         remembers the fault so the next detection sweep attributes the
-        app's silence to the link instead of declaring it dead.
+        app's silence to the link instead of declaring it dead.  A fault
+        on the proxy side means datagrams to the stub were abandoned,
+        possibly carrying a context delta: the next push is full.
         """
         self.detector.record_channel_fault(app_name, self.sim.now)
+        record = self.apps.get(app_name)
+        if fault.side == "proxy" and record is not None:
+            record.pushed_topo_version = -1
+            record.pushed_device_version = -1
         if self.telemetry.enabled:
             self.telemetry.tracer.event(
                 "appvisor.channel_fault", app=app_name,
@@ -740,17 +750,35 @@ class AppVisorProxy:
             self._push_context(record)
 
     def _push_context(self, record: AppRecord, force: bool = False) -> None:
-        topo_version = self.controller.topology.version
-        device_version = self.controller.devices.version
+        """Bring the stub's topology and host caches up to date.
+
+        Sends only the host entries changed since the last push (and
+        the topology if it moved) when the device table can list them
+        and the channel delivers in order; otherwise the whole context.
+        """
+        topology = self.controller.topology
+        devices = self.controller.devices
+        topo_version = topology.version
+        device_version = devices.version
         if (not force and topo_version == record.pushed_topo_version
                 and device_version == record.pushed_device_version):
             return
+        changed = None
+        if not force and record.endpoint.channel.reliable:
+            changed = devices.changes_since(record.pushed_device_version)
+        if changed is None:
+            push = rpc.ContextPush(topo=topology.view(),
+                                   hosts=tuple(devices.all().values()))
+        else:
+            import repro.core.appvisor.context  # noqa: F401 -- registers it
+
+            push = rpc.ContextDelta(
+                hosts=changed,
+                topo=(topology.view()
+                      if topo_version != record.pushed_topo_version
+                      else None))
         record.pushed_topo_version = topo_version
         record.pushed_device_version = device_version
-        push = rpc.ContextPush(
-            topo=self.controller.topology.view(),
-            hosts=tuple(self.controller.devices.all().values()),
-        )
         rpc.trace_frame(self.telemetry, "send", push)
         record.endpoint.send(push)
 

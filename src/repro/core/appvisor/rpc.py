@@ -31,7 +31,8 @@ CrashReport         stub->proxy  the app raised; diagnostics attached
 Heartbeat           stub->proxy  periodic liveness beacon
 RestoreCommand      proxy->stub  restore to pre-event checkpoint
 RestoreAck          stub->proxy  restore finished (replay stats attached)
-ContextPush         proxy->stub  topology/host cache refresh
+ContextPush         proxy->stub  full topology/host cache refresh
+ContextDelta        proxy->stub  changed host rows (+ topology if moved)
 ==================  ===========  =========================================
 """
 
@@ -178,6 +179,26 @@ class RestoreAck:
 class ContextPush:
     topo: TopoView
     hosts: Tuple[HostEntry, ...]
+
+
+@dataclass(frozen=True)
+class ContextDelta:
+    """The host entries changed since the stub's last context frame.
+
+    The stub merges a delta into its caches, where a
+    :class:`ContextPush` replaces them.  The proxy sends one only over
+    a reliable channel and only when the device table can list the
+    changes (:meth:`~repro.controller.services.DeviceManager.changes_since`).
+
+    Registered with the codec by :mod:`repro.core.appvisor.context`,
+    not here, so that its schema id comes after every other frame's.
+    """
+
+    #: The current entry of each changed host, in the order the device
+    #: table first saw the change.
+    hosts: Tuple[HostEntry, ...]
+    #: The topology view, or None when its version did not move.
+    topo: Optional[TopoView] = None
 
 
 @register_dataclass

@@ -36,8 +36,8 @@ class StubAPI(AppAPI):
     """The app's view of the controller, implemented over RPC.
 
     Emissions stream to the proxy as AppOutput frames; reads are served
-    from caches the proxy pushes (ContextPush), so the app never blocks
-    on a synchronous remote call.
+    from caches the proxy pushes (ContextPush, ContextDelta), so the app
+    never blocks on a synchronous remote call.
     """
 
     def __init__(self, stub: "AppVisorStub"):
@@ -270,6 +270,10 @@ class AppVisorStub:
         elif isinstance(frame, rpc.ContextPush):
             self.topo_cache = frame.topo
             self.host_cache = {h.mac: h for h in frame.hosts}
+        elif isinstance(frame, rpc.ContextDelta):
+            self.host_cache.update((h.mac, h) for h in frame.hosts)
+            if frame.topo is not None:
+                self.topo_cache = frame.topo
 
     # -- event processing -------------------------------------------------------
 

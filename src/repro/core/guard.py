@@ -70,7 +70,7 @@ class ControllerGuard:
         state = {
             "topology_links": dict(controller.topology._links),
             "topology_switches": set(controller.topology._switches),
-            "device_hosts": dict(controller.devices._hosts),
+            "device_hosts": controller.devices.all(),
             "counters": controller.counters.snapshot(),
         }
         self.snapshot = ServiceSnapshot(
@@ -104,11 +104,10 @@ class ControllerGuard:
                 topology._links[link] = self.sim.now
         topology._switches.update(state["topology_switches"] & live)
         topology.version += 1
-        controller.devices._hosts.update({
+        controller.devices.restore({
             mac: entry for mac, entry in state["device_hosts"].items()
             if entry.dpid in live
         })
-        controller.devices.version += 1
         for name, value in state["counters"].items():
             controller.counters.inc(name, value)
         self.restores_done += 1

@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.controller.api import HostEntry, TopoView
+from repro.core.appvisor import context  # noqa: F401 -- registers ContextDelta
 from repro.core.appvisor import rpc
 from repro.network.packet import Packet
 from repro.openflow import messages as ofmsg
@@ -164,6 +165,10 @@ FRAME_STRATEGIES = {
     rpc.ContextPush: st.builds(rpc.ContextPush, topo=topo_views,
                                hosts=st.lists(host_entries,
                                               max_size=3).map(tuple)),
+    rpc.ContextDelta: st.builds(rpc.ContextDelta,
+                                hosts=st.lists(host_entries,
+                                               max_size=3).map(tuple),
+                                topo=st.none() | topo_views),
     rpc.SeqEnvelope: st.builds(rpc.SeqEnvelope, seq=small, floor=small,
                                crc=small, payload=blobs),
     rpc.ChannelAck: st.builds(rpc.ChannelAck, cumulative=small,

@@ -156,6 +156,46 @@ class TestRecoveryTracePropagation:
         # rolled back -- same trace id end to end.
         assert recovery.trace_id in {s.trace_id for s in rollbacks}
 
+    def test_ticket_critical_path_matches_whole_ring_analysis(self):
+        """The ticket's critical-path rows, built from the failing
+        trace's spans alone, equal an analysis of the whole span ring
+        restricted to that trace -- with the ring full and wrapping."""
+        max_spans = 150
+        telemetry = Telemetry(enabled=True, max_spans=max_spans)
+        net = Network(linear_topology(3, 1), seed=0, telemetry=telemetry)
+        runtime = LegoSDNRuntime(net.controller)
+        runtime.launch_app(crash_on(LearningSwitch(),
+                                    payload_marker="BOOM"))
+        tickets = runtime.tickets
+        create = tickets.create
+        expected = []
+
+        def create_checked(**fields):
+            assert len(telemetry.tracer.spans) == max_spans
+            analysis = analyze(telemetry.tracer.to_dicts(),
+                               trace_ids=[fields["trace_id"]])
+            expected.append([
+                {"name": name,
+                 "self_time": round(entry["total"], 9),
+                 "share": round(entry["fraction"], 4),
+                 "count": int(entry["count"])}
+                for name, entry in analysis.top(3)])
+            return create(**fields)
+
+        tickets.create = create_checked
+        net.start()
+        net.run_for(1.0)
+        TrafficWorkload(net, rate=100.0, seed=0,
+                        selection="random").start(2.0)
+        net.run_for(2.0 + LearningSwitch.IDLE_TIMEOUT + 1.0)
+        hosts = sorted(net.hosts)
+        inject_marker_packet(net, hosts[0], hosts[-1], "BOOM")
+        net.run_for(1.0)
+        ticket, = tickets.all()
+        assert ticket.trace_id
+        assert ticket.critical_path
+        assert ticket.critical_path == expected[0]
+
 
 class TestCausalTree:
     def _span(self, sid, name, start, end, parent=None, trace=7, **tags):

@@ -73,6 +73,7 @@ def fixtures() -> dict:
     """
     from repro.apps.firewall import DenyRule
     from repro.controller import events as ev
+    from repro.core.appvisor import context  # noqa: F401 -- registers ContextDelta
     from repro.core.appvisor import rpc
     from repro.replication import frames as repl
 
@@ -165,6 +166,9 @@ def fixtures() -> dict:
                        error="replay failed", sts_culprits=(5, 8),
                        trace_id=100),
         rpc.ContextPush(topo=topo, hosts=(host,)),
+        rpc.ContextDelta(hosts=(host, HostEntry(mac="00:00:00:00:00:02",
+                                                ip=None, dpid=2, port=1)),
+                         topo=None),
         rpc.FrameBatch(frames=(event_deliver, rpc.ChannelAck(cumulative=3))),
         rpc.SeqEnvelope(seq=12, floor=10, crc=2**32 - 1,
                         payload=b"\x00\xff" * 4),
@@ -251,6 +255,7 @@ GOLDEN = {
     "BarrierReply": "c33ab7277918e54c",
     "BarrierRequest": "2639996e075a5288",
     "ChannelAck": "5dc9fb79ddabb08d",
+    "ContextDelta": "4384d59bbaaa2f07",
     "ContextPush": "bf8233414e9c80b5",
     "CrashReport": "9655a513bf807ba9",
     "DeepRestoreCommand": "f80f6f08ed6d23c6",
